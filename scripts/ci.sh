@@ -197,7 +197,7 @@ if [ "${ORQ_CI_TSAN:-0}" = "1" ]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}" \
-    -R 'difftest_smoke_parallel|parallel_exec_test|batch_exec_test|engine_concurrency_test|cancel_test|server_smoke_test|query_store_test'
+    -R 'difftest_smoke_parallel|difftest_smoke_parallel_columnar|parallel_exec_test|batch_exec_test|engine_concurrency_test|cancel_test|server_smoke_test|query_store_test'
   echo "CI: all suites passed (release + asan/ubsan + tsan)."
 else
   echo "CI: all suites passed (release + asan/ubsan); set ORQ_CI_TSAN=1 to add the TSan pass."

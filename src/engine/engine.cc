@@ -452,14 +452,9 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
       SharedTaskPool(options.exec.num_threads);
   // ctx after plan: it is destroyed first, so an Exchange's producers are
   // still wound down by the plan destructor before members vanish.
-  ORQ_RETURN_IF_ERROR(ValidateExecOptions(options.exec));
   ExecContext ctx;
-  ctx.batched = options.exec.batched;
-  ctx.columnar = options.exec.columnar;
-  ctx.table_encoding = options.exec.table_encoding;
-  ctx.batch_size = options.exec.batch_size;
+  ORQ_RETURN_IF_ERROR(ctx.Configure(options.exec));
   ctx.pool = pool.get();
-  ctx.morsel_rows = options.exec.morsel_rows;
   ctx.cancel = control.cancel;
   ctx.progress_rows = control.progress_rows;
   StatsCollector collector;
@@ -563,15 +558,10 @@ Result<AnalyzedQuery> QueryEngine::ExecuteAnalyzed(
   instruments.stats = &collector;
   instruments.metrics = &analyzed.metrics;
   instruments.spans = analyze.record_spans ? &analyzed.spans : nullptr;
-  ORQ_RETURN_IF_ERROR(ValidateExecOptions(options.exec));
   ExecContext ctx;
+  ORQ_RETURN_IF_ERROR(ctx.Configure(options.exec));
   ctx.instruments = &instruments;
-  ctx.batched = options.exec.batched;
-  ctx.columnar = options.exec.columnar;
-  ctx.table_encoding = options.exec.table_encoding;
-  ctx.batch_size = options.exec.batch_size;
   ctx.pool = pool.get();
-  ctx.morsel_rows = options.exec.morsel_rows;
   ctx.cancel = analyze.cancel;
   {
     PhaseTimer timer(&analyzed.profile, QueryPhase::kExecute);

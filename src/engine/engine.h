@@ -123,8 +123,9 @@ struct EngineOptions {
   NormalizerOptions normalizer;
   OptimizerOptions optimizer;
   PhysicalBuildOptions physical;
-  /// Execution mode: batch-at-a-time (default) or row-at-a-time Volcano.
-  /// Both produce identical results; the difftest oracle cross-checks them.
+  /// Execution mode: columnar (default), row batches, or row-at-a-time
+  /// Volcano. All produce identical results; the difftest oracle
+  /// cross-checks them.
   ExecOptions exec;
   /// Plan cache (engine/plan_cache.h). Off by default: cached compiles go
   /// through the parameterized lane, which trades literal-aware rewrites

@@ -198,6 +198,7 @@ class HashAggregateOp : public PhysicalOp {
         fast_aggs_ = false;
       }
     }
+    columnar_capable_ = true;
     children_.push_back(std::move(child));
   }
 
@@ -281,6 +282,55 @@ class HashAggregateOp : public PhysicalOp {
         slot.push_back(Finalize(aggs_[i], accs[i]));
       }
     }
+    return Status::OK();
+  }
+
+  /// Columnar output: group keys and finalized aggregates are appended
+  /// straight into owned columns, one capacity-sized window of groups per
+  /// call, with no intermediate rows.
+  Status NextColumnsImpl(ExecContext*, ColumnBatch* out) override {
+    if (!emitter_) return Status::OK();
+    const size_t nkeys = layout_.size() - aggs_.size();
+    const bool empty_scalar = scalar_ && emit_order_->empty();
+    const size_t total = empty_scalar ? 1 : emit_order_->size();
+    if (emit_pos_ >= total) return Status::OK();
+    const uint32_t n = static_cast<uint32_t>(std::min(
+        total - emit_pos_, static_cast<size_t>(out->capacity())));
+    out->ResizeCols(layout_.size());
+    std::vector<Value>& vals = emit_scratch_;
+    for (size_t c = 0; c < layout_.size(); ++c) {
+      vals.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        const size_t g = emit_pos_ + i;
+        if (c < nkeys) {
+          vals.push_back((*(*emit_order_)[g])[c]);
+        } else if (empty_scalar) {
+          // Aggregates over the empty input (section 1.1): count = 0, the
+          // rest NULL.
+          vals.push_back(AggNullOnEmpty(aggs_[c - nkeys].func)
+                             ? Value::Null()
+                             : Value::Int64(0));
+        } else {
+          vals.push_back(
+              Finalize(aggs_[c - nkeys], (*emit_accs_)[g][c - nkeys]));
+        }
+      }
+      // Declare the first non-NULL value's type; a later tag mismatch
+      // degrades the column to boxed values.
+      DataType type = DataType::kInt64;
+      for (const Value& v : vals) {
+        if (!v.is_null()) {
+          type = v.type();
+          break;
+        }
+      }
+      ColumnVec& col = out->col(c);
+      col.StartBuild(type, n);
+      for (const Value& v : vals) col.AppendValue(v);
+      col.Seal();
+    }
+    out->set_num_rows(n);
+    emit_pos_ += n;
     return Status::OK();
   }
 
@@ -803,6 +853,7 @@ class HashAggregateOp : public PhysicalOp {
   const std::vector<const Row*>* emit_order_ = &order_;
   const std::vector<std::vector<Accumulator>>* emit_accs_ = &accs_;
   size_t emit_pos_ = 0;
+  std::vector<Value> emit_scratch_;  // one output column (NextColumnsImpl)
 };
 
 }  // namespace

@@ -46,14 +46,14 @@ Status PhysicalOp::NextBatchInstrumented(ExecContext* ctx, RowBatch* batch) {
   if (status.ok()) {
     const int64_t rows = static_cast<int64_t>(batch->size());
     ctx->rows_produced += rows;
-    if (rows > 0) {
-      // The terminal empty pull is excluded from fill accounting: every
-      // stream ends with one, so counting it only dilutes the signal.
+    if (stats_ != nullptr) stats_->rows_out += rows;
+    // Row mode drains through this shell too (FillFromNextImpl) but runs
+    // row at a time, so only the batched engines report batch fill. The
+    // terminal empty pull is excluded: every stream ends with one, so
+    // counting it only dilutes the signal.
+    if (rows > 0 && ctx->batched) {
       const int64_t slots = static_cast<int64_t>(batch->capacity());
-      if (stats_ != nullptr) {
-        stats_->rows_out += rows;
-        stats_->batch_slots += slots;
-      }
+      if (stats_ != nullptr) stats_->batch_slots += slots;
       if (metrics_ != nullptr && slots > 0) {
         metrics_->Observe(MetricHistogram::kBatchFillPercent,
                           100 * rows / slots);
@@ -145,22 +145,54 @@ void PhysicalOp::CloseInstrumented() {
   if (spans_ != nullptr) spans_->AddOpSpan(this, open_start_nanos_, end);
 }
 
+namespace {
+
+Status DrainRows(PhysicalOp* plan, ExecContext* ctx, std::vector<Row>* rows) {
+  Row row;
+  while (true) {
+    ORQ_ASSIGN_OR_RETURN(bool more, plan->Next(ctx, &row));
+    if (!more) return Status::OK();
+    rows->push_back(std::move(row));
+  }
+}
+
+Status DrainBatches(PhysicalOp* plan, ExecContext* ctx,
+                    std::vector<Row>* rows) {
+  RowBatch batch(ctx->batch_size);
+  while (true) {
+    ORQ_RETURN_IF_ERROR(plan->NextBatch(ctx, &batch));
+    if (batch.empty()) return Status::OK();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      rows->push_back(std::move(batch.row(i)));
+    }
+  }
+}
+
+Status DrainColumns(PhysicalOp* plan, ExecContext* ctx,
+                    std::vector<Row>* rows) {
+  ColumnBatch batch(ctx->batch_size);
+  while (true) {
+    ORQ_RETURN_IF_ERROR(plan->NextColumns(ctx, &batch));
+    const uint32_t m = batch.selected();
+    if (m == 0) return Status::OK();
+    for (uint32_t j = 0; j < m; ++j) {
+      rows->emplace_back();
+      batch.DecodeRow(batch.RowAt(j), &rows->back());
+    }
+  }
+}
+
+}  // namespace
+
 Result<std::vector<Row>> ExecuteToVector(PhysicalOp* plan, ExecContext* ctx) {
   std::vector<Row> rows;
   ORQ_RETURN_IF_ERROR(plan->Open(ctx));
-  RowBatch batch(ctx->batch_size);
-  while (true) {
-    Status status = plan->NextBatch(ctx, &batch);
-    if (!status.ok()) {
-      plan->Close();
-      return status;
-    }
-    if (batch.empty()) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      rows.push_back(std::move(batch.row(i)));
-    }
-  }
+  Status status = ctx->columnar && plan->columnar_capable()
+                      ? DrainColumns(plan, ctx, &rows)
+                  : ctx->batched ? DrainBatches(plan, ctx, &rows)
+                                 : DrainRows(plan, ctx, &rows);
   plan->Close();
+  if (!status.ok()) return status;
   return rows;
 }
 

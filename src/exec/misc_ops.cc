@@ -94,16 +94,9 @@ class FilterOp : public PhysicalOp {
         if (cj.vec.vectorizable()) {
           ORQ_ASSIGN_OR_RETURN(const ColumnVec* r, cj.vec.Eval(*out, ctx));
           Narrow(out, &any_mark, [&](uint32_t i) {
-            int t = PredTruthElem(*r, i);
-            if (single_conjunct_) {
-              // EvalPredicate: non-NULL boolean true keeps, all else drops.
-              return t == 1 && r->type() == DataType::kBool &&
-                             (r->rep() != ColumnRep::kValues ||
-                              r->ValAt(i).type() == DataType::kBool)
-                         ? 1
-                         : 0;
-            }
-            return t;
+            // A single conjunct keeps rows by EvalPredicate's rule.
+            if (single_conjunct_) return PredKeepElem(*r, i) ? 1 : 0;
+            return PredTruthElem(*r, i);
           });
         } else {
           Status err;
@@ -217,7 +210,6 @@ class ComputeOp : public PhysicalOp {
   Status OpenImpl(ExecContext* ctx) override {
     input_ = RowBatch(ctx->batch_size);
     in_pos_ = 0;
-    cinput_ = std::make_unique<ColumnBatch>(ctx->batch_size);
     return children_[0]->Open(ctx);
   }
 
@@ -263,6 +255,9 @@ class ComputeOp : public PhysicalOp {
   /// fall back to the row evaluator over decoded selected rows (decoding
   /// each row once, shared by all fallback expressions).
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
+    if (cinput_ == nullptr) {
+      cinput_ = std::make_unique<ColumnBatch>(ctx->batch_size);
+    }
     ColumnBatch& in = *cinput_;
     in.Clear();
     ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, &in));

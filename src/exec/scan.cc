@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 
 #include "exec/evaluator.h"
@@ -8,6 +9,56 @@
 namespace orq {
 
 namespace {
+
+/// Points `batch` at rows [pos, pos + n) of the table's column chunks
+/// (one column per ordinal), zero copy. Under an encoded table_encoding
+/// the views carry the chunk's physical form (dict codes / RLE runs)
+/// instead of decoding; downstream kernels decide per column whether to
+/// exploit or transparently decode it.
+void FillChunkViews(const std::vector<Table::ColumnChunk>& chunks,
+                    const std::vector<int>& ordinals, size_t pos, uint32_t n,
+                    ColumnBatch* batch) {
+  batch->ResizeCols(ordinals.size());
+  for (size_t i = 0; i < ordinals.size(); ++i) {
+    const Table::ColumnChunk& chunk = chunks[ordinals[i]];
+    ColumnVec& col = batch->col(i);
+    if (chunk.mixed) {
+      col.SetValuesView(chunk.type, chunk.vals.data() + pos, n);
+      continue;
+    }
+    if (chunk.encoding == ChunkEncoding::kDict) {
+      col.SetDictView(chunk.type, chunk.codes.data() + pos,
+                      chunk.ints.data(), chunk.chars.data(),
+                      chunk.offsets.data(), chunk.dict_hashes.data(),
+                      static_cast<uint32_t>(chunk.dict_size()),
+                      chunk.any_null ? chunk.nulls.data() + pos : nullptr, n);
+      continue;
+    }
+    if (chunk.encoding == ChunkEncoding::kRle) {
+      col.SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
+                     chunk.chars.data(), chunk.offsets.data(),
+                     chunk.run_ends.data(),
+                     chunk.any_null ? chunk.nulls.data() : nullptr,
+                     static_cast<uint32_t>(chunk.num_runs()),
+                     static_cast<uint32_t>(pos), n);
+      continue;
+    }
+    const uint8_t* nulls = chunk.any_null ? chunk.nulls.data() + pos : nullptr;
+    switch (chunk.type) {
+      case DataType::kDouble:
+        col.SetDoubleView(chunk.doubles.data() + pos, nulls, n);
+        break;
+      case DataType::kString:
+        col.SetStringView(chunk.chars.data(), chunk.offsets.data() + pos,
+                          nulls, n);
+        break;
+      default:
+        col.SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
+        break;
+    }
+  }
+  batch->set_num_rows(n);
+}
 
 /// Atomic claim cursor shared by the N MorselScan instances of one table
 /// scan. fetch_add partitions the row space into disjoint ranges with no
@@ -42,6 +93,7 @@ class MorselScanOp : public PhysicalOp {
         ordinals_(std::move(ordinals)),
         source_(std::static_pointer_cast<MorselSource>(source)) {
     layout_ = std::move(layout);
+    columnar_capable_ = true;
   }
 
   Status OpenImpl(ExecContext* ctx) override {
@@ -77,6 +129,18 @@ class MorselScanOp : public PhysicalOp {
         }
       }
     }
+    return Status::OK();
+  }
+
+  /// Columnar morsel scan: the TableScan views, windowed inside the
+  /// claimed morsel. A batch never spans two morsels.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+    if (pos_ >= end_ && !ClaimMorsel()) return Status::OK();
+    const uint32_t n = static_cast<uint32_t>(
+        std::min(end_ - pos_, static_cast<size_t>(batch->capacity())));
+    FillChunkViews(table_->ColumnarChunks(ctx->table_encoding), ordinals_,
+                   pos_, n, batch);
+    pos_ += n;
     return Status::OK();
   }
 
@@ -145,11 +209,9 @@ class TableScanOp : public PhysicalOp {
   }
 
   /// Zero-copy columnar scan: each output column is a view into the
-  /// table's columnar chunk cache, windowed at the current position. No
-  /// per-row work at all — the batch is pointers plus a row count. Under
-  /// an encoded table_encoding the views carry the chunk's physical form
-  /// (dict codes / RLE runs) instead of decoding; downstream kernels
-  /// decide per column whether to exploit or transparently decode it.
+  /// table's columnar chunk cache, windowed at the current position
+  /// (FillChunkViews). No per-row work at all — the batch is pointers plus
+  /// a row count.
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
     const size_t end = table_->num_rows();
     if (pos_ >= end) return Status::OK();
@@ -158,48 +220,7 @@ class TableScanOp : public PhysicalOp {
     if (!recorded_enc_) RecordEncodingShape(chunks);
     const uint32_t n = static_cast<uint32_t>(
         std::min(end - pos_, static_cast<size_t>(batch->capacity())));
-    batch->ResizeCols(ordinals_.size());
-    for (size_t i = 0; i < ordinals_.size(); ++i) {
-      const Table::ColumnChunk& chunk = chunks[ordinals_[i]];
-      ColumnVec& col = batch->col(i);
-      if (chunk.mixed) {
-        col.SetValuesView(chunk.type, chunk.vals.data() + pos_, n);
-        continue;
-      }
-      if (chunk.encoding == ChunkEncoding::kDict) {
-        col.SetDictView(chunk.type, chunk.codes.data() + pos_,
-                        chunk.ints.data(), chunk.chars.data(),
-                        chunk.offsets.data(), chunk.dict_hashes.data(),
-                        static_cast<uint32_t>(chunk.dict_size()),
-                        chunk.any_null ? chunk.nulls.data() + pos_ : nullptr,
-                        n);
-        continue;
-      }
-      if (chunk.encoding == ChunkEncoding::kRle) {
-        col.SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
-                       chunk.chars.data(), chunk.offsets.data(),
-                       chunk.run_ends.data(),
-                       chunk.any_null ? chunk.nulls.data() : nullptr,
-                       static_cast<uint32_t>(chunk.num_runs()),
-                       static_cast<uint32_t>(pos_), n);
-        continue;
-      }
-      const uint8_t* nulls =
-          chunk.any_null ? chunk.nulls.data() + pos_ : nullptr;
-      switch (chunk.type) {
-        case DataType::kDouble:
-          col.SetDoubleView(chunk.doubles.data() + pos_, nulls, n);
-          break;
-        case DataType::kString:
-          col.SetStringView(chunk.chars.data(), chunk.offsets.data() + pos_,
-                            nulls, n);
-          break;
-        default:
-          col.SetIntView(chunk.type, chunk.ints.data() + pos_, nulls, n);
-          break;
-      }
-    }
-    batch->set_num_rows(n);
+    FillChunkViews(chunks, ordinals_, pos_, n, batch);
     pos_ += n;
     return Status::OK();
   }

@@ -359,6 +359,56 @@ void CompareColCol(CompareOp op, const ColumnVec& l, const ColumnVec& r,
 
 }  // namespace
 
+void GatherColumn(const ColumnVec& src, DataType type, const uint32_t* idx,
+                  uint32_t n, ColumnVec* dst) {
+  dst->StartBuild(type, n);
+  // One loop per representation keeps the element dispatch out of the
+  // per-row path.
+  switch (src.rep()) {
+    case ColumnRep::kInts:
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t r = idx[i];
+        if (r == kNoRow || src.IsNull(r)) {
+          dst->AppendNull();
+        } else {
+          dst->AppendInt(src.IntAt(r));
+        }
+      }
+      break;
+    case ColumnRep::kDoubles:
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t r = idx[i];
+        if (r == kNoRow || src.IsNull(r)) {
+          dst->AppendNull();
+        } else {
+          dst->AppendDouble(src.DoubleAt(r));
+        }
+      }
+      break;
+    case ColumnRep::kStrings:
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t r = idx[i];
+        if (r == kNoRow || src.IsNull(r)) {
+          dst->AppendNull();
+        } else {
+          dst->AppendStr(src.StrAt(r));
+        }
+      }
+      break;
+    case ColumnRep::kValues:
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t r = idx[i];
+        if (r == kNoRow) {
+          dst->AppendNull();
+        } else {
+          dst->AppendValue(src.ValAt(r));
+        }
+      }
+      break;
+  }
+  dst->Seal();
+}
+
 void ColumnarEvaluator::Compile(ScalarExprPtr expr,
                                 const std::vector<ColumnId>& layout) {
   expr_ = std::move(expr);

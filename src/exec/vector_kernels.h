@@ -34,6 +34,23 @@ inline int PredTruthElem(const ColumnVec& c, uint32_t i) {
   return c.rep() == ColumnRep::kInts ? (c.IntAt(i) != 0 ? 1 : 0) : 0;
 }
 
+/// Evaluator::EvalPredicate's keep rule for one element of a predicate
+/// result: only a non-NULL boolean true keeps the row.
+inline bool PredKeepElem(const ColumnVec& c, uint32_t i) {
+  return PredTruthElem(c, i) == 1 && c.type() == DataType::kBool &&
+         (c.rep() != ColumnRep::kValues ||
+          c.ValAt(i).type() == DataType::kBool);
+}
+
+/// Gather index meaning "no source row": the gathered element is NULL.
+inline constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// Copies src rows idx[0..n) into dst as an owned column declared `type`
+/// (src's own type unless every index is kNoRow), staying in src's
+/// representation; encoded sources decode transparently.
+void GatherColumn(const ColumnVec& src, DataType type, const uint32_t* idx,
+                  uint32_t n, ColumnVec* dst);
+
 /// Compiles a scalar expression for column-at-a-time evaluation.
 ///
 /// vectorizable() accepts exactly the node kinds whose evaluation cannot

@@ -266,17 +266,24 @@ class Pushdown {
   }
 
   RelExprPtr StepJoin(const RelExprPtr& node) {
-    if (node->join_kind != JoinKind::kInner) return node;
+    const JoinKind kind = node->join_kind;
+    if (kind == JoinKind::kCross) return node;
+    // Semi, anti and left outer joins only ever filter the right input:
+    // a right row failing a right-only conjunct can match no left row, so
+    // pushing it into the right input is exact. A left-only conjunct
+    // decides whether a left row matches (anti/outer keep the left row
+    // either way), so it stays in the predicate.
+    const bool inner = kind == JoinKind::kInner;
     std::vector<ScalarExprPtr> conjuncts = SplitConjuncts(node->predicate);
     size_t before = conjuncts.size();
-    AddEqualityClosure(&conjuncts, columns_);
+    if (inner) AddEqualityClosure(&conjuncts, columns_);
     ColumnSet left_cols = node->children[0]->OutputSet();
     ColumnSet right_cols = node->children[1]->OutputSet();
     std::vector<ScalarExprPtr> keep, to_left, to_right;
     for (const ScalarExprPtr& c : conjuncts) {
       ColumnSet refs;
       CollectColumnRefsDeep(c, &refs);
-      if (refs.IsSubsetOf(left_cols)) {
+      if (inner && refs.IsSubsetOf(left_cols)) {
         to_left.push_back(c);
       } else if (refs.IsSubsetOf(right_cols)) {
         to_right.push_back(c);
@@ -291,7 +298,7 @@ class Pushdown {
     RelExprPtr right = node->children[1];
     if (!to_left.empty()) left = MakeSelect(left, MakeAnd(to_left));
     if (!to_right.empty()) right = MakeSelect(right, MakeAnd(to_right));
-    return MakeJoin(JoinKind::kInner, std::move(left), std::move(right),
+    return MakeJoin(kind, std::move(left), std::move(right),
                     MakeAnd(std::move(keep)));
   }
 

@@ -54,11 +54,18 @@ void RenderRec(const PlanStatsNode& node, int indent, std::string* out) {
   if (node.stats.peak_cardinality > 0) {
     out->append(" peak=" + std::to_string(node.stats.peak_cardinality));
   }
+  // The pull protocol the operator produced its rows through: columnar
+  // when it filled a column batch, batch when it filled row batches, row
+  // otherwise (operators that produced nothing show no mode). For
+  // columnar operators rows_out counts selected rows while batch_slots
+  // counts capacity, so the fill= ratio below doubles as the
+  // selection-vector density.
   if (node.stats.column_batches > 0) {
-    // For columnar operators rows_out counts selected rows while
-    // batch_slots counts capacity, so the fill= ratio below doubles as
-    // the selection-vector density.
     out->append(" mode=columnar");
+  } else if (node.stats.batch_slots > 0) {
+    out->append(" mode=batch");
+  } else if (node.stats.rows_out > 0) {
+    out->append(" mode=row");
   }
   if (node.stats.batch_slots > 0) {
     out->append(" fill=" +
@@ -122,7 +129,11 @@ std::string RenderTrace(const TraceLog& trace) {
   for (const TraceEvent& event : trace.events()) {
     out += "  [";
     out += TraceStageName(event.stage);
-    out += event.kind == TraceEvent::Kind::kPhase ? "/phase] " : "] ";
+    if (event.kind != TraceEvent::Kind::kRule) {
+      out += "/";
+      out += TraceKindName(event.kind);
+    }
+    out += "] ";
     out += event.rule;
     out += ": nodes " + std::to_string(event.nodes_before) + " -> " +
            std::to_string(event.nodes_after);

@@ -14,6 +14,7 @@ const char* TraceKindName(TraceEvent::Kind kind) {
   switch (kind) {
     case TraceEvent::Kind::kRule: return "rule";
     case TraceEvent::Kind::kPhase: return "phase";
+    case TraceEvent::Kind::kCandidate: return "candidate";
   }
   return "unknown";
 }

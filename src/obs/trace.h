@@ -15,8 +15,10 @@ namespace orq {
 struct TraceEvent {
   enum class Stage { kNormalize, kOptimize };
   /// Rule firings record one identity/transformation application; phase
-  /// events bracket a whole pipeline pass over the tree.
-  enum class Kind { kRule, kPhase };
+  /// events bracket a whole pipeline pass over the tree; candidate events
+  /// record an optimizer alternative that was costed and lost its round
+  /// (cost_after is the alternative's cost).
+  enum class Kind { kRule, kPhase, kCandidate };
 
   Stage stage = Stage::kNormalize;
   Kind kind = Kind::kRule;

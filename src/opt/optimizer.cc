@@ -1,8 +1,7 @@
 #include "opt/optimizer.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <vector>
 
 #include "algebra/expr_util.h"
 #include "obs/stats.h"
@@ -47,6 +46,14 @@ class GreedyOptimizer {
         // Candidate-evaluation wall time of the rule that ends up winning
         // this round; clock reads only happen with a trace attached.
         int64_t best_eval_nanos = 0;
+        // Every costed alternative, so the losers can be traced once the
+        // round's winner is known. Filled only with a trace attached.
+        struct Candidate {
+          const char* rule;
+          RelExprPtr plan;
+          double cost;
+        };
+        std::vector<Candidate> candidates;
         for (const auto& rule : rules_) {
           const int64_t rule_start =
               options_.trace != nullptr ? ObsNowNanos() : 0;
@@ -55,10 +62,8 @@ class GreedyOptimizer {
             // pushed-down GroupBy may enable a further local split).
             RelExprPtr refined = OptimizeChildren(alt, depth + 1);
             double c = cost_.Estimate(refined).cost;
-            const char* dbg = std::getenv("ORQ_OPT_DEBUG");
-            if (dbg != nullptr && dbg[0] == '2') {
-              std::fprintf(stderr, "[opt] candidate %s: %.0f (current %.0f)\n",
-                           rule->name(), c, current_cost);
+            if (options_.trace != nullptr) {
+              candidates.push_back({rule->name(), refined, c});
             }
             if (c < best_cost * 0.9999) {  // strict improvement only
               best = refined;
@@ -70,11 +75,17 @@ class GreedyOptimizer {
             best_eval_nanos = ObsNowNanos() - rule_start;
           }
         }
-        if (best == current) break;
-        if (std::getenv("ORQ_OPT_DEBUG") != nullptr) {
-          std::fprintf(stderr, "[opt] %s: %.0f -> %.0f\n", best_rule,
-                       current_cost, best_cost);
+        if (options_.trace != nullptr) {
+          const int64_t nodes = CountRelNodes(*current);
+          for (const Candidate& lost : candidates) {
+            if (lost.plan == best) continue;
+            options_.trace->Record(TraceEvent{
+                TraceEvent::Stage::kOptimize, TraceEvent::Kind::kCandidate,
+                lost.rule, nodes, CountRelNodes(*lost.plan), current_cost,
+                lost.cost});
+          }
         }
+        if (best == current) break;
         if (options_.trace != nullptr) {
           TraceEvent event{TraceEvent::Stage::kOptimize,
                            TraceEvent::Kind::kRule, best_rule,

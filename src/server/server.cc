@@ -23,6 +23,29 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// Replies to a query: its result frame, or an error frame carrying the
+/// query id. A result whose frame would exceed the cap every decoder
+/// enforces becomes an error reply too, so the client never receives a
+/// frame it must reject and the connection stays usable.
+Status SendQueryReply(int fd, const Result<WireResult>& result,
+                      const std::string& query_id, std::string* reply) {
+  if (result.ok()) {
+    *reply = EncodeResult(result.value());
+    if (reply->size() + 1 <= kWireMaxFrameBytes) {
+      return SendFrame(fd, FrameType::kResult, *reply);
+    }
+    *reply = EncodeError(
+        Status::Unsupported(
+            "result of " + std::to_string(reply->size()) +
+            " bytes exceeds the " + std::to_string(kWireMaxFrameBytes) +
+            "-byte wire frame limit; select fewer rows or columns"),
+        query_id);
+  } else {
+    *reply = EncodeError(result.status(), query_id);
+  }
+  return SendFrame(fd, FrameType::kError, *reply);
+}
+
 }  // namespace
 
 QueryServer::QueryServer(std::shared_ptr<Catalog> catalog,
@@ -318,9 +341,9 @@ Result<WireResult> QueryServer::RunQuery(
   if (stopping_.load(std::memory_order_relaxed)) live->token.RequestCancel();
 
   const ExecOptions& exec_options = session->engine_options().exec;
-  const char* exec_mode = exec_options.columnar ? "columnar"
-                          : exec_options.batched ? "batch"
-                                                 : "row";
+  const char* exec_mode = !exec_options.batched   ? "row"
+                          : exec_options.columnar ? "columnar"
+                                                  : "batch";
 
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -470,13 +493,7 @@ void QueryServer::ServeConnection(int fd, int session_id) {
         Result<WireResult> result =
             RunQuery(&session, &engine, &engine_catalog, &engine_generation,
                      frame.payload, /*params=*/nullptr, &query_id);
-        if (result.ok()) {
-          reply = EncodeResult(result.value());
-          if (!SendFrame(fd, FrameType::kResult, reply).ok()) return;
-        } else {
-          reply = EncodeError(result.status(), query_id);
-          if (!SendFrame(fd, FrameType::kError, reply).ok()) return;
-        }
+        if (!SendQueryReply(fd, result, query_id, &reply).ok()) return;
         break;
       }
       case FrameType::kSet: {
@@ -607,13 +624,7 @@ void QueryServer::ServeConnection(int fd, int session_id) {
         Result<WireResult> result =
             RunQuery(&session, &engine, &engine_catalog, &engine_generation,
                      stmt->sql, &execute.value().params, &query_id);
-        if (result.ok()) {
-          reply = EncodeResult(result.value());
-          if (!SendFrame(fd, FrameType::kResult, reply).ok()) return;
-        } else {
-          reply = EncodeError(result.status(), query_id);
-          if (!SendFrame(fd, FrameType::kError, reply).ok()) return;
-        }
+        if (!SendQueryReply(fd, result, query_id, &reply).ok()) return;
         break;
       }
       case FrameType::kDeallocate: {

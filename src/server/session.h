@@ -56,8 +56,8 @@ class Session {
 
   /// Applies one SET command ("name value" or "name=value"). Knobs:
   ///   threads N      -- morsel-parallel worker count (0 = serial)
-  ///   exec row|batch|columnar -- execution mode (columnar = SoA batches)
-  ///   batch on|off   -- batch-at-a-time vs row-at-a-time execution
+  ///   exec row|batch|columnar -- execution mode (default columnar =
+  ///                     SoA batches)
   ///   batch_size N   -- rows per batch (1..65536)
   ///   morsel_rows N  -- rows per parallel-scan morsel claim
   ///   timeout_ms N   -- per-query deadline (0 disables)

@@ -1,7 +1,15 @@
 // Unit tests for catalog, tables, indexes and statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <unordered_set>
+
 #include "catalog/catalog.h"
+#include "catalog/stats.h"
+#include "difftest/dataset.h"
+#include "tpch/tpch_gen.h"
 
 namespace orq {
 namespace {
@@ -102,6 +110,112 @@ TEST_F(CatalogTest, EmptyTableStats) {
   const TableStats& stats = catalog_.GetStats(*empty);
   EXPECT_DOUBLE_EQ(stats.row_count, 0.0);
   EXPECT_DOUBLE_EQ(stats.columns[0].distinct_count, 1.0);  // clamped
+}
+
+/// The straightforward per-column statistics ComputeStats must reproduce:
+/// one scan per column, a node-based set of Value::Hash results, and
+/// min/max by TotalCompare with the first occurrence winning ties.
+TableStats ReferenceStats(const Table& table) {
+  TableStats stats;
+  stats.row_count = static_cast<double>(table.num_rows());
+  stats.columns.resize(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    ColumnStats& cs = stats.columns[c];
+    std::unordered_set<size_t> hashes;
+    size_t nulls = 0;
+    bool have_minmax = false;
+    for (const Row& row : table.rows()) {
+      const Value& v = row[c];
+      if (v.is_null()) {
+        ++nulls;
+        continue;
+      }
+      hashes.insert(v.Hash());
+      if (!have_minmax) {
+        cs.min_value = v;
+        cs.max_value = v;
+        have_minmax = true;
+      } else {
+        if (v.TotalCompare(cs.min_value) < 0) cs.min_value = v;
+        if (v.TotalCompare(cs.max_value) > 0) cs.max_value = v;
+      }
+    }
+    cs.distinct_count =
+        hashes.empty() ? 1.0 : static_cast<double>(hashes.size());
+    cs.null_fraction = table.num_rows() == 0
+                           ? 0.0
+                           : static_cast<double>(nulls) / table.num_rows();
+  }
+  return stats;
+}
+
+/// Identity, not SQL equality: same NULL-ness, same type tag, and for
+/// doubles the same bits (so -0.0 vs 0.0 and NaN payloads count).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() != b.is_null() || a.type() != b.type()) return false;
+  if (a.is_null()) return true;
+  if (a.type() == DataType::kDouble) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a.TotalCompare(b) == 0;
+}
+
+void ExpectStatsMatchReference(const Table& table) {
+  const TableStats got = ComputeStats(table);
+  const TableStats want = ReferenceStats(table);
+  ASSERT_EQ(got.row_count, want.row_count) << table.name();
+  ASSERT_EQ(got.columns.size(), want.columns.size()) << table.name();
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnStats& g = got.columns[c];
+    const ColumnStats& w = want.columns[c];
+    const std::string where = table.name() + "." + table.columns()[c].name;
+    EXPECT_EQ(g.distinct_count, w.distinct_count) << where;
+    EXPECT_EQ(g.null_fraction, w.null_fraction) << where;
+    EXPECT_TRUE(SameValue(g.min_value, w.min_value)) << where;
+    EXPECT_TRUE(SameValue(g.max_value, w.max_value)) << where;
+  }
+}
+
+TEST(StatsEquivalenceTest, TpchTablesMatchPerColumnReference) {
+  Catalog catalog;
+  TpchGenOptions options;
+  options.scale_factor = 0.005;
+  ASSERT_TRUE(GenerateTpch(&catalog, options).ok());
+  for (const std::string& name : catalog.TableNames()) {
+    ExpectStatsMatchReference(*catalog.FindTable(name));
+  }
+}
+
+TEST(StatsEquivalenceTest, DifftestTablesMatchPerColumnReference) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildDifftestCatalog(&catalog, 20260806).ok());
+  for (const std::string& name : catalog.TableNames()) {
+    ExpectStatsMatchReference(*catalog.FindTable(name));
+  }
+}
+
+// NULLs, signed zeros, NaNs, a hash-zero value and int64/double twins
+// (3 and 3.0 group together and hash alike) in one column.
+TEST(StatsEquivalenceTest, HostileValuesMatchPerColumnReference) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("h", {{"mixed", DataType::kDouble, true},
+                                        {"ints", DataType::kInt64, true}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> mixed = {
+      Value::Null(DataType::kDouble), Value::Double(-0.0), Value::Double(0.0),
+      Value::Int64(0), Value::Double(nan), Value::Double(-nan),
+      Value::Int64(3), Value::Double(3.0), Value::Double(2.5),
+      Value::Int64(-7), Value::Double(-7.0), Value::Int64(INT64_MAX),
+      Value::Double(1e300), Value::Double(-1e300)};
+  for (int i = 0; i < 200; ++i) {
+    const Value& v = mixed[static_cast<size_t>(i * 7) % mixed.size()];
+    ASSERT_TRUE(t->Append({v, i % 5 == 0 ? Value::Null()
+                                         : Value::Int64((i % 37) * 1024)})
+                    .ok());
+  }
+  ExpectStatsMatchReference(*t);
 }
 
 }  // namespace

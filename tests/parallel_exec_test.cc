@@ -1,6 +1,6 @@
 // Morsel-driven parallel execution tests: TaskPool mechanics, parallel vs
-// serial result equality on TPC-H (batch and row mode, several thread
-// counts), Exchange placement in EXPLAIN, the stats invariant under
+// serial result equality on TPC-H (columnar, batch and row mode, several
+// thread counts), Exchange placement in EXPLAIN, the stats invariant under
 // parallel execution, the scalar-aggregate empty-input edge across
 // workers, and uncorrelated inner-spool caching.
 #include <gtest/gtest.h>
@@ -109,19 +109,29 @@ TEST(ParallelTpch, ResultsMatchSerialAtEveryThreadCount) {
         << query.id << ": " << expected.status().ToString();
     std::vector<std::string> expected_rows = Canonical(*expected);
     for (int threads : {1, 4}) {
-      QueryEngine parallel(catalog, ParallelOptions(threads));
-      Result<QueryResult> actual = parallel.Execute(query.sql);
-      ASSERT_TRUE(actual.ok()) << query.id << " threads=" << threads << ": "
-                               << actual.status().ToString();
-      EXPECT_EQ(Canonical(*actual), expected_rows)
-          << query.id << " diverged at threads=" << threads;
+      // Workers run in the query's exec mode: columnar (the default) and
+      // batch must both reproduce the serial rows.
+      for (bool columnar : {true, false}) {
+        EngineOptions options = ParallelOptions(threads);
+        options.exec.columnar = columnar;
+        QueryEngine parallel(catalog, options);
+        Result<QueryResult> actual = parallel.Execute(query.sql);
+        ASSERT_TRUE(actual.ok())
+            << query.id << " threads=" << threads << " columnar=" << columnar
+            << ": " << actual.status().ToString();
+        EXPECT_EQ(Canonical(*actual), expected_rows)
+            << query.id << " diverged at threads=" << threads
+            << " columnar=" << columnar;
+      }
     }
   }
 }
 
 TEST(ParallelTpch, RowModeMatchesBatchMode) {
   Catalog* catalog = SharedTpch();
-  QueryEngine serial(catalog, EngineOptions::Full());
+  EngineOptions batch = EngineOptions::Full();
+  batch.exec.columnar = false;
+  QueryEngine serial(catalog, batch);
   const std::vector<TpchQuery>& queries = TpchQuerySet();
   const size_t take = std::min<size_t>(queries.size(), 5);
   for (size_t i = 0; i < take; ++i) {

@@ -208,5 +208,68 @@ TEST_F(PushdownTest, PruneKeepsEverythingUnderExceptAll) {
   EXPECT_EQ(e->out_cols.size(), 2u);
 }
 
+// Right-only conjuncts of a semi, anti or left outer join predicate move
+// into the right input: a right row failing one can match no left row.
+// Left-only conjuncts stay put, since those joins keep (or drop) the left
+// row whatever the predicate says about it.
+TEST_F(PushdownTest, RightOnlyConjunctIntoSemiJoinRight) {
+  std::map<std::string, ColumnId> t1, t2;
+  RelExprPtr g1 = Get(&t1);
+  RelExprPtr g2 = Get(&t2);
+  RelExprPtr tree = MakeJoin(
+      JoinKind::kLeftSemi, g1, g2,
+      MakeAnd({Eq(CRef(*columns_, t1.at("b")), CRef(*columns_, t2.at("b"))),
+               MakeCompare(CompareOp::kLt, CRef(*columns_, t2.at("a")),
+                           LitInt(6))}));
+  RelExprPtr pushed = CheckedPushdown(tree);
+  ASSERT_EQ(pushed->kind, RelKind::kJoin);
+  EXPECT_EQ(pushed->join_kind, JoinKind::kLeftSemi);
+  EXPECT_EQ(pushed->children[0]->kind, RelKind::kGet);
+  EXPECT_EQ(pushed->children[1]->kind, RelKind::kSelect);
+  EXPECT_EQ(SplitConjuncts(pushed->predicate).size(), 1u);
+}
+
+TEST_F(PushdownTest, RightOnlyConjunctIntoNotInAntiJoinRight) {
+  std::map<std::string, ColumnId> t1, t2;
+  RelExprPtr g1 = Get(&t1);
+  RelExprPtr g2 = Get(&t2);
+  // NOT IN's null-aware anti-join predicate: (a = b) OR (a = b) IS NULL.
+  ScalarExprPtr eq =
+      Eq(CRef(*columns_, t1.at("b")), CRef(*columns_, t2.at("b")));
+  ScalarExprPtr not_in = MakeOr({eq, MakeIsNull(eq)});
+  RelExprPtr tree = MakeJoin(
+      JoinKind::kLeftAnti, g1, g2,
+      MakeAnd({not_in, MakeCompare(CompareOp::kGt,
+                                   CRef(*columns_, t2.at("a")), LitInt(4))}));
+  RelExprPtr pushed = CheckedPushdown(tree);
+  ASSERT_EQ(pushed->kind, RelKind::kJoin);
+  EXPECT_EQ(pushed->join_kind, JoinKind::kLeftAnti);
+  EXPECT_EQ(pushed->children[0]->kind, RelKind::kGet);
+  ASSERT_EQ(pushed->children[1]->kind, RelKind::kSelect);
+  // The OR references both sides and stays the whole join predicate.
+  EXPECT_EQ(pushed->predicate, not_in);
+}
+
+TEST_F(PushdownTest, LeftOnlyConjunctStaysInLeftOuterJoin) {
+  std::map<std::string, ColumnId> t1, t2;
+  RelExprPtr g1 = Get(&t1);
+  RelExprPtr g2 = Get(&t2);
+  ScalarExprPtr left_only =
+      MakeCompare(CompareOp::kGt, CRef(*columns_, t1.at("a")), LitInt(2));
+  RelExprPtr tree = MakeJoin(
+      JoinKind::kLeftOuter, g1, g2,
+      MakeAnd({Eq(CRef(*columns_, t1.at("a")), CRef(*columns_, t2.at("a"))),
+               left_only, MakeIsNotNull(CRef(*columns_, t2.at("b")))}));
+  RelExprPtr pushed = CheckedPushdown(tree);
+  ASSERT_EQ(pushed->kind, RelKind::kJoin);
+  EXPECT_EQ(pushed->join_kind, JoinKind::kLeftOuter);
+  // Unmatched left rows are still padded, so the left input is untouched.
+  EXPECT_EQ(pushed->children[0]->kind, RelKind::kGet);
+  EXPECT_EQ(pushed->children[1]->kind, RelKind::kSelect);
+  std::vector<ScalarExprPtr> kept = SplitConjuncts(pushed->predicate);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[1], left_only);
+}
+
 }  // namespace
 }  // namespace orq

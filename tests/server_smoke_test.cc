@@ -170,7 +170,7 @@ TEST(ServerSmokeTest, SetChangesTakeEffectAndValidate) {
   Client client = std::move(connected.value());
 
   EXPECT_TRUE(client.Set("threads", "2").ok());
-  EXPECT_TRUE(client.Set("batch", "off").ok());
+  EXPECT_TRUE(client.Set("exec", "row").ok());
   EXPECT_TRUE(client.Set("batch_size", "64").ok());
   Result<WireResult> result =
       client.Query("SELECT COUNT(*) FROM customer");
@@ -183,27 +183,29 @@ TEST(ServerSmokeTest, SetChangesTakeEffectAndValidate) {
   server.Stop();
 }
 
-TEST(ServerSmokeTest, ColumnarThreadsConflictAndEncodingKnobOverTheWire) {
+TEST(ServerSmokeTest, ThreadsOnFreshSessionAndEncodingKnobOverTheWire) {
   QueryServer server(SharedCatalog(), ServerOptions());
   ASSERT_TRUE(server.Start().ok());
   Result<Client> connected = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.ok());
   Client client = std::move(connected.value());
 
-  // exec columnar is single-threaded; combining it with threads must fail
-  // loudly in either SET order — never silently fall back.
-  ASSERT_TRUE(client.Set("threads", "2").ok());
-  Status conflict = client.Set("exec", "columnar");
-  ASSERT_EQ(conflict.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(conflict.ToString().find("single-threaded"), std::string::npos);
+  // A fresh session runs columnar; SET threads combines with it and the
+  // parallel columnar plan returns exactly the serial rows (ORDER BY, so
+  // the byte comparison is order-exact).
+  const std::string sql =
+      "SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem "
+      "GROUP BY l_returnflag ORDER BY l_returnflag";
+  QueryEngine serial(SharedCatalog().get());
+  const SerialRun want = RunSerial(&serial, sql);
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  ASSERT_TRUE(client.Set("threads", "4").ok());
+  ASSERT_TRUE(client.Set("morsel_rows", "8").ok());
+  Result<WireResult> parallel = client.Query(sql);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->rows, want.rows);
   ASSERT_TRUE(client.Set("threads", "0").ok());
-  ASSERT_TRUE(client.Set("exec", "columnar").ok());
-  conflict = client.Set("threads", "2");
-  ASSERT_EQ(conflict.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(conflict.ToString().find("single-threaded"), std::string::npos);
 
-  // The rejected SET left the session columnar and single-threaded, so
-  // queries still run — now over encoded storage once the knob is set.
   // Forced dict (not auto) because the difftest tables are small enough
   // that the auto heuristic keeps them plain.
   ASSERT_TRUE(client.Set("table_encoding", "dict").ok());
@@ -221,6 +223,37 @@ TEST(ServerSmokeTest, ColumnarThreadsConflictAndEncodingKnobOverTheWire) {
   Result<std::string> metrics = client.Admin("metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->find("encoding.chunks"), std::string::npos);
+  server.Stop();
+}
+
+// A result past the wire frame cap comes back as a clean error carrying
+// the query id, never as a frame the client must reject; the connection
+// then serves the next query.
+TEST(ServerSmokeTest, OverCapResultIsCleanErrorAndConnectionSurvives) {
+  auto catalog = std::make_shared<Catalog>();
+  Table* big = *catalog->CreateTable("big", {{"s", DataType::kString, false}});
+  const std::string megabyte(1u << 20, 'x');
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(big->Append({Value::String(megabyte)}).ok());
+  }
+  QueryServer server(catalog, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(connected.value());
+
+  Result<WireResult> over = client.Query("SELECT s FROM big");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kUnsupported)
+      << over.status().ToString();
+  EXPECT_NE(over.status().message().find("frame limit"), std::string::npos)
+      << over.status().ToString();
+  EXPECT_FALSE(client.last_query_id().empty());
+
+  Result<WireResult> next = client.Query("SELECT COUNT(*) FROM big");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_EQ(next->rows.size(), 1u);
+  EXPECT_NE(next->rows[0].find("20"), std::string::npos) << next->rows[0];
   server.Stop();
 }
 

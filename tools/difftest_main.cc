@@ -3,8 +3,7 @@
 // bag-comparison divergence with a minimized reproducer and both plans.
 //
 // Usage: difftest [--seed N] [--queries N] [--max-failures N] [--verbose]
-//                 [--reference-exec row|batch|columnar|parallel]
-//                 [--test-exec row|batch|columnar|parallel] [--threads N]
+//                 [--reference-exec MODE] [--test-exec MODE] [--threads N]
 //                 [--table-encoding plain|dict|rle|auto]
 //                 [--timeout-ms N] [--plan-cache]
 //
@@ -16,12 +15,13 @@
 // hunting for pathological plans without letting the naive reference run
 // unbounded). One-sided timeouts are tolerated, never divergences.
 //
-// The exec flags pick the engine per side: "batch" (default) drains
-// through NextBatch, "row" forces the classic one-row Volcano adapter,
-// "columnar" runs the columnar (SoA) engine, and "parallel" runs the
-// morsel-driven parallel engine with --threads workers (default 4). Mixing modes cross-checks engines on the same
-// query stream — e.g. `--reference-exec row --test-exec parallel` is the
-// parallel-vs-serial oracle.
+// The exec flags pick the engine (MODE) per side: "batch" (default)
+// drains through NextBatch, "row" forces the classic one-row Volcano
+// engine, "columnar" runs the columnar (SoA) engine, and "parallel" /
+// "parallel-columnar" run the morsel-driven parallel engine in batch /
+// columnar mode with --threads workers (default 4). Mixing modes
+// cross-checks engines on the same query stream — e.g. `--reference-exec
+// row --test-exec parallel` is the parallel-vs-serial oracle.
 //
 // --table-encoding sets the test side's columnar storage encoding
 // (reference scans stay plain), so `--reference-exec row --test-exec
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                std::strcmp(argv[i], "--test-exec") == 0) {
       const char* flag = argv[i];
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires row|batch|columnar|parallel\n", flag);
+        std::fprintf(stderr, "%s requires row|batch|columnar|parallel|parallel-columnar\n", flag);
         return 2;
       }
       const char* mode = argv[++i];
@@ -111,9 +111,13 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(mode, "parallel") == 0) {
         batched = true;
         parallel = true;
+      } else if (std::strcmp(mode, "parallel-columnar") == 0) {
+        batched = true;
+        columnar = true;
+        parallel = true;
       } else {
         std::fprintf(stderr,
-                     "%s expects row|batch|columnar|parallel, got %s\n",
+                     "%s expects row|batch|columnar|parallel|parallel-columnar, got %s\n",
                      flag, mode);
         return 2;
       }
@@ -130,8 +134,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument %s\nusage: difftest [--seed N] "
                    "[--queries N] [--max-failures N] [--verbose] "
-                   "[--reference-exec row|batch|columnar|parallel] "
-                   "[--test-exec row|batch|columnar|parallel] "
+                   "[--reference-exec row|batch|columnar|parallel|parallel-columnar] "
+                   "[--test-exec row|batch|columnar|parallel|parallel-columnar] "
                    "[--threads N] "
                    "[--table-encoding plain|dict|rle|auto] "
                    "[--timeout-ms N] [--plan-cache]\n",
