@@ -51,24 +51,14 @@ ScalarExprPtr RemapColumns(const ScalarExprPtr& expr,
       copy->column = it->second;
       return copy;
     }
-    bool changed = false;
     std::vector<ScalarExprPtr> children;
     children.reserve(e->children.size());
-    for (const auto& child : e->children) {
-      ScalarExprPtr walked = walk(child);
-      changed |= walked != child;
-      children.push_back(std::move(walked));
-    }
-    RelExprPtr rel = e->rel;
-    if (rel != nullptr) {
-      RelExprPtr remapped = RemapRelTree(rel, mapping);
-      changed |= remapped != rel;
-      rel = remapped;
-    }
-    if (!changed) return e;
+    for (const auto& child : e->children) children.push_back(walk(child));
+    if (e->rel == nullptr) return WithChildren(e, std::move(children));
+    // RemapRelTree always copies, so a subquery node always changes.
     auto copy = std::make_shared<ScalarExpr>(*e);
     copy->children = std::move(children);
-    copy->rel = std::move(rel);
+    copy->rel = RemapRelTree(e->rel, mapping);
     return copy;
   };
   return walk(expr);
@@ -83,18 +73,12 @@ ScalarExprPtr SubstituteColumns(
     if (it == mapping.end()) return expr;
     return it->second;
   }
-  bool changed = false;
   std::vector<ScalarExprPtr> children;
   children.reserve(expr->children.size());
   for (const auto& child : expr->children) {
-    ScalarExprPtr walked = SubstituteColumns(child, mapping);
-    changed |= walked != child;
-    children.push_back(std::move(walked));
+    children.push_back(SubstituteColumns(child, mapping));
   }
-  if (!changed) return expr;
-  auto copy = std::make_shared<ScalarExpr>(*expr);
-  copy->children = std::move(children);
-  return copy;
+  return WithChildren(expr, std::move(children));
 }
 
 std::vector<ScalarExprPtr> SplitConjuncts(const ScalarExprPtr& expr) {

@@ -240,4 +240,10 @@ RelExprPtr CloneWithChildren(const RelExpr& node,
   return clone;
 }
 
+RelExprPtr WithChildren(const RelExprPtr& node,
+                        std::vector<RelExprPtr> children) {
+  if (children == node->children) return node;
+  return CloneWithChildren(*node, std::move(children));
+}
+
 }  // namespace orq

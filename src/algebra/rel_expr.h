@@ -160,6 +160,19 @@ RelExprPtr MakeSingleRow();
 RelExprPtr CloneWithChildren(const RelExpr& node,
                              std::vector<RelExprPtr> children);
 
+/// `node` with `children`: `node` itself when every child pointer is
+/// unchanged, else a shallow clone. Rewrites that rebuild through this
+/// return the same root exactly when nothing changed, so pointer identity
+/// is the drivers' change flag.
+RelExprPtr WithChildren(const RelExprPtr& node,
+                        std::vector<RelExprPtr> children);
+
+/// Round budget of the rewrite drivers (the normalizer's whole-tree loop,
+/// pushdown's per-node loop, the optimizer's per-node loop). Each runs
+/// until a round changes nothing; the budget only stops a rewrite that
+/// never converges, returning the current (semantically equal) tree.
+inline constexpr int kRewriteRoundBudget = 64;
+
 }  // namespace orq
 
 #endif  // ORQ_ALGEBRA_REL_EXPR_H_

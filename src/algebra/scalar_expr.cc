@@ -218,4 +218,12 @@ ScalarExprPtr MakeQuantified(CompareOp op, Quantifier q, ScalarExprPtr left,
   return node;
 }
 
+ScalarExprPtr WithChildren(const ScalarExprPtr& expr,
+                           std::vector<ScalarExprPtr> children) {
+  if (children == expr->children) return expr;
+  auto copy = std::make_shared<ScalarExpr>(*expr);
+  copy->children = std::move(children);
+  return copy;
+}
+
 }  // namespace orq

@@ -110,6 +110,11 @@ ScalarExprPtr MakeQuantified(CompareOp op, Quantifier q, ScalarExprPtr left,
 /// True literal convenience.
 ScalarExprPtr TrueLiteral();
 
+/// `expr` with `children`: `expr` itself when every child pointer is
+/// unchanged, else a shallow copy (the scalar twin of rel_expr.h's).
+ScalarExprPtr WithChildren(const ScalarExprPtr& expr,
+                           std::vector<ScalarExprPtr> children);
+
 }  // namespace orq
 
 #endif  // ORQ_ALGEBRA_SCALAR_EXPR_H_

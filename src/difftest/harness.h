@@ -84,10 +84,14 @@ struct HarnessReport {
   /// Cached-vs-cold checks run / divergences found (see plan_cache_check).
   int plan_cache_checked = 0;
   std::vector<std::string> plan_cache_divergences;
+  /// Idempotence checks run / failures found: normalizing the normalized
+  /// tree, or optimizing the optimized tree, must give it back unchanged.
+  int idempotence_checked = 0;
+  std::vector<std::string> idempotence_failures;
 
   bool ok() const {
     return failures.empty() && stats_violations.empty() &&
-           plan_cache_divergences.empty();
+           plan_cache_divergences.empty() && idempotence_failures.empty();
   }
   /// One-paragraph tally plus, for every failure, the minimized reproducer
   /// and both plans — ready to paste into a bug report.

@@ -28,39 +28,37 @@ bool CacheableLiteral(const ScalarExpr& node) {
   return false;
 }
 
-/// Copy-on-change walk replacing cacheable literals with parameter nodes.
-/// Pointer-memoized: a shared subtree (e.g. BETWEEN's value expression,
-/// referenced by both rewritten compares) is visited once, keeps its
-/// sharing in the output, and contributes each literal exactly once.
-class Parameterizer {
+/// Memoized copy-on-change walk that replaces every scalar node `leaf`
+/// maps to a non-null expression; the rest of the tree is rebuilt only
+/// where something below it changed. Pointer-memoized: a shared subtree
+/// (e.g. BETWEEN's value expression, referenced by both rewritten
+/// compares) is visited once and keeps its sharing in the output.
+///
+/// Payload fields are visited before children, each in declaration order.
+/// The walk order *is* the parameter-ordinal order of ParameterizeLiterals,
+/// so it must stay deterministic (any fixed order works; SubstituteParams
+/// resolves ordinals, not positions).
+template <typename Leaf>
+class LeafRewriter {
  public:
-  explicit Parameterizer(int first_ordinal) : next_ordinal_(first_ordinal) {}
+  explicit LeafRewriter(Leaf leaf) : leaf_(std::move(leaf)) {}
 
-  ScalarExprPtr Scalar(const ScalarExprPtr& expr) {
-    if (expr == nullptr) return nullptr;
+  Result<ScalarExprPtr> Scalar(const ScalarExprPtr& expr) {
+    if (expr == nullptr) return ScalarExprPtr(nullptr);
     auto it = scalar_memo_.find(expr.get());
     if (it != scalar_memo_.end()) return it->second;
-    ScalarExprPtr result;
-    if (CacheableLiteral(*expr)) {
-      result = MakeParam(next_ordinal_++, expr->type);
-      values.push_back(expr->literal);
-      types.push_back(expr->type);
-    } else {
-      bool changed = false;
+    ORQ_ASSIGN_OR_RETURN(ScalarExprPtr result, leaf_(*expr));
+    if (result == nullptr) {
       std::vector<ScalarExprPtr> children;
       children.reserve(expr->children.size());
       for (const ScalarExprPtr& child : expr->children) {
-        ScalarExprPtr walked = Scalar(child);
-        changed = changed || walked != child;
+        ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(child));
         children.push_back(std::move(walked));
       }
-      RelExprPtr rel = Rel(expr->rel);
-      changed = changed || rel != expr->rel;
-      if (!changed) {
-        result = expr;
-      } else {
-        auto node = std::make_shared<ScalarExpr>(*expr);
-        node->children = std::move(children);
+      ORQ_ASSIGN_OR_RETURN(RelExprPtr rel, Rel(expr->rel));
+      result = WithChildren(expr, std::move(children));
+      if (rel != expr->rel) {
+        auto node = std::make_shared<ScalarExpr>(*result);
         node->rel = std::move(rel);
         result = node;
       }
@@ -69,39 +67,26 @@ class Parameterizer {
     return result;
   }
 
-  RelExprPtr Rel(const RelExprPtr& rel) {
-    if (rel == nullptr) return nullptr;
+  Result<RelExprPtr> Rel(const RelExprPtr& rel) {
+    if (rel == nullptr) return RelExprPtr(nullptr);
     auto it = rel_memo_.find(rel.get());
     if (it != rel_memo_.end()) return it->second;
-    // Payload fields are visited before children, each in declaration
-    // order — the walk order *is* the parameter-ordinal order, so it must
-    // stay deterministic and match SubstituteParams' expectations (any
-    // fixed order works; both sides share this walk's output).
     RelExpr copy = *rel;
     bool changed = false;
-    if (copy.predicate != nullptr) {
-      ScalarExprPtr walked = Scalar(copy.predicate);
-      changed = changed || walked != copy.predicate;
-      copy.predicate = std::move(walked);
-    }
+    auto walk = [&](ScalarExprPtr* expr) -> Status {
+      ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(*expr));
+      changed = changed || walked != *expr;
+      *expr = std::move(walked);
+      return Status::OK();
+    };
+    ORQ_RETURN_IF_ERROR(walk(&copy.predicate));
     for (ProjectItem& item : copy.proj_items) {
-      ScalarExprPtr walked = Scalar(item.expr);
-      changed = changed || walked != item.expr;
-      item.expr = std::move(walked);
+      ORQ_RETURN_IF_ERROR(walk(&item.expr));
     }
-    for (AggItem& agg : copy.aggs) {
-      if (agg.arg == nullptr) continue;
-      ScalarExprPtr walked = Scalar(agg.arg);
-      changed = changed || walked != agg.arg;
-      agg.arg = std::move(walked);
-    }
-    for (SortKey& key : copy.sort_keys) {
-      ScalarExprPtr walked = Scalar(key.expr);
-      changed = changed || walked != key.expr;
-      key.expr = std::move(walked);
-    }
+    for (AggItem& agg : copy.aggs) ORQ_RETURN_IF_ERROR(walk(&agg.arg));
+    for (SortKey& key : copy.sort_keys) ORQ_RETURN_IF_ERROR(walk(&key.expr));
     for (RelExprPtr& child : copy.children) {
-      RelExprPtr walked = Rel(child);
+      ORQ_ASSIGN_OR_RETURN(RelExprPtr walked, Rel(child));
       changed = changed || walked != child;
       child = std::move(walked);
     }
@@ -111,11 +96,8 @@ class Parameterizer {
     return result;
   }
 
-  std::vector<Value> values;
-  std::vector<DataType> types;
-
  private:
-  int next_ordinal_;
+  Leaf leaf_;
   std::unordered_map<const ScalarExpr*, ScalarExprPtr> scalar_memo_;
   std::unordered_map<const RelExpr*, RelExprPtr> rel_memo_;
 };
@@ -292,111 +274,19 @@ Result<Value> CoerceParam(const Value& value, DataType type, int ordinal) {
       DataTypeName(type) + ", got " + DataTypeName(value.type()));
 }
 
-/// Copy-on-change walk replacing kParam nodes with literal values.
-/// Memoized like Parameterizer so template sharing survives substitution.
-class Substituter {
- public:
-  Substituter(const std::vector<Value>& values,
-              const std::vector<DataType>& types)
-      : values_(values), types_(types) {}
-
-  Result<ScalarExprPtr> Scalar(const ScalarExprPtr& expr) {
-    if (expr == nullptr) return ScalarExprPtr(nullptr);
-    auto it = scalar_memo_.find(expr.get());
-    if (it != scalar_memo_.end()) return it->second;
-    ScalarExprPtr result;
-    if (expr->kind == ScalarKind::kParam) {
-      const int ordinal = expr->column;
-      if (ordinal < 0 || static_cast<size_t>(ordinal) >= values_.size()) {
-        return Status::InvalidArgument(
-            "parameter $" + std::to_string(ordinal) + " has no value (" +
-            std::to_string(values_.size()) + " provided)");
-      }
-      ORQ_ASSIGN_OR_RETURN(Value coerced,
-                           CoerceParam(values_[ordinal],
-                                       types_[ordinal], ordinal));
-      result = Lit(std::move(coerced));
-    } else {
-      bool changed = false;
-      std::vector<ScalarExprPtr> children;
-      children.reserve(expr->children.size());
-      for (const ScalarExprPtr& child : expr->children) {
-        ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(child));
-        changed = changed || walked != child;
-        children.push_back(std::move(walked));
-      }
-      RelExprPtr rel;
-      if (expr->rel != nullptr) {
-        ORQ_ASSIGN_OR_RETURN(rel, Rel(expr->rel));
-      }
-      changed = changed || rel != expr->rel;
-      if (!changed) {
-        result = expr;
-      } else {
-        auto node = std::make_shared<ScalarExpr>(*expr);
-        node->children = std::move(children);
-        node->rel = std::move(rel);
-        result = node;
-      }
-    }
-    scalar_memo_.emplace(expr.get(), result);
-    return result;
-  }
-
-  Result<RelExprPtr> Rel(const RelExprPtr& rel) {
-    if (rel == nullptr) return RelExprPtr(nullptr);
-    auto it = rel_memo_.find(rel.get());
-    if (it != rel_memo_.end()) return it->second;
-    RelExpr copy = *rel;
-    bool changed = false;
-    if (copy.predicate != nullptr) {
-      ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(copy.predicate));
-      changed = changed || walked != copy.predicate;
-      copy.predicate = std::move(walked);
-    }
-    for (ProjectItem& item : copy.proj_items) {
-      ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(item.expr));
-      changed = changed || walked != item.expr;
-      item.expr = std::move(walked);
-    }
-    for (AggItem& agg : copy.aggs) {
-      if (agg.arg == nullptr) continue;
-      ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(agg.arg));
-      changed = changed || walked != agg.arg;
-      agg.arg = std::move(walked);
-    }
-    for (SortKey& key : copy.sort_keys) {
-      ORQ_ASSIGN_OR_RETURN(ScalarExprPtr walked, Scalar(key.expr));
-      changed = changed || walked != key.expr;
-      key.expr = std::move(walked);
-    }
-    for (RelExprPtr& child : copy.children) {
-      ORQ_ASSIGN_OR_RETURN(RelExprPtr walked, Rel(child));
-      changed = changed || walked != child;
-      child = std::move(walked);
-    }
-    RelExprPtr result =
-        changed ? std::make_shared<RelExpr>(std::move(copy)) : rel;
-    rel_memo_.emplace(rel.get(), result);
-    return result;
-  }
-
- private:
-  const std::vector<Value>& values_;
-  const std::vector<DataType>& types_;
-  std::unordered_map<const ScalarExpr*, ScalarExprPtr> scalar_memo_;
-  std::unordered_map<const RelExpr*, RelExprPtr> rel_memo_;
-};
-
 }  // namespace
 
 ParameterizedTree ParameterizeLiterals(const RelExprPtr& root,
                                        int first_ordinal) {
-  Parameterizer walker(first_ordinal);
   ParameterizedTree result;
-  result.root = walker.Rel(root);
-  result.values = std::move(walker.values);
-  result.types = std::move(walker.types);
+  int next_ordinal = first_ordinal;
+  LeafRewriter walker([&](const ScalarExpr& expr) -> Result<ScalarExprPtr> {
+    if (!CacheableLiteral(expr)) return ScalarExprPtr(nullptr);
+    result.values.push_back(expr.literal);
+    result.types.push_back(expr.type);
+    return MakeParam(next_ordinal++, expr.type);
+  });
+  result.root = *walker.Rel(root);
   return result;
 }
 
@@ -410,7 +300,18 @@ std::string CanonicalizeTree(const RelExpr& root) {
 Result<RelExprPtr> SubstituteParams(const RelExprPtr& root,
                                     const std::vector<Value>& values,
                                     const std::vector<DataType>& types) {
-  Substituter walker(values, types);
+  LeafRewriter walker([&](const ScalarExpr& expr) -> Result<ScalarExprPtr> {
+    if (expr.kind != ScalarKind::kParam) return ScalarExprPtr(nullptr);
+    const int ordinal = expr.column;
+    if (ordinal < 0 || static_cast<size_t>(ordinal) >= values.size()) {
+      return Status::InvalidArgument(
+          "parameter $" + std::to_string(ordinal) + " has no value (" +
+          std::to_string(values.size()) + " provided)");
+    }
+    ORQ_ASSIGN_OR_RETURN(Value coerced,
+                         CoerceParam(values[ordinal], types[ordinal], ordinal));
+    return Lit(std::move(coerced));
+  });
   return walker.Rel(root);
 }
 

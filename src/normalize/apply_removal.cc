@@ -37,14 +37,11 @@ class ApplyRemover {
 
   Result<RelExprPtr> Rewrite(const RelExprPtr& node) {
     std::vector<RelExprPtr> children;
-    bool changed = false;
     for (const RelExprPtr& child : node->children) {
       ORQ_ASSIGN_OR_RETURN(RelExprPtr rewritten, Rewrite(child));
-      changed |= rewritten != child;
       children.push_back(std::move(rewritten));
     }
-    RelExprPtr current =
-        changed ? CloneWithChildren(*node, std::move(children)) : node;
+    RelExprPtr current = WithChildren(node, std::move(children));
     // Merge stacked selections so identity (2) sees one predicate.
     if (current->kind == RelKind::kSelect &&
         current->children[0]->kind == RelKind::kSelect) {

@@ -11,8 +11,6 @@ bool IsLiteral(const ScalarExprPtr& e) {
   return e->kind == ScalarKind::kLiteral;
 }
 
-bool IsFalseLike(const ScalarExprPtr& e) { return IsFalseOrNullLiteral(e); }
-
 }  // namespace
 
 ScalarExprPtr FoldScalar(const ScalarExprPtr& expr) {
@@ -21,26 +19,18 @@ ScalarExprPtr FoldScalar(const ScalarExprPtr& expr) {
     return expr;
   }
   // Fold children first.
-  bool changed = false;
   std::vector<ScalarExprPtr> children;
   children.reserve(expr->children.size());
   for (const ScalarExprPtr& child : expr->children) {
-    ScalarExprPtr folded = FoldScalar(child);
-    changed |= folded != child;
-    children.push_back(std::move(folded));
+    children.push_back(FoldScalar(child));
   }
-  ScalarExprPtr current = expr;
-  if (changed) {
-    auto copy = std::make_shared<ScalarExpr>(*expr);
-    copy->children = std::move(children);
-    current = copy;
-  }
+  ScalarExprPtr current = WithChildren(expr, std::move(children));
   switch (current->kind) {
     case ScalarKind::kAnd: {
       std::vector<ScalarExprPtr> keep;
       for (const ScalarExprPtr& c : current->children) {
         if (IsTrueLiteral(c)) continue;          // TRUE is neutral
-        if (IsLiteral(c) && IsFalseLike(c) && !c->literal.is_null()) {
+        if (IsFalseOrNullLiteral(c) && !c->literal.is_null()) {
           return LitBool(false);                 // FALSE dominates
         }
         keep.push_back(c);
@@ -106,56 +96,34 @@ class Folder {
 
   RelExprPtr Fold(const RelExprPtr& node) {
     std::vector<RelExprPtr> children;
-    bool changed = false;
     for (const RelExprPtr& child : node->children) {
-      RelExprPtr folded = Fold(child);
-      changed |= folded != child;
-      children.push_back(std::move(folded));
+      children.push_back(Fold(child));
     }
-    RelExprPtr current =
-        changed ? CloneWithChildren(*node, std::move(children)) : node;
-    current = FoldPayload(current);
-    return DetectEmpty(current);
+    return DetectEmpty(
+        FoldPayload(WithChildren(node, std::move(children))));
   }
 
  private:
   RelExprPtr FoldPayload(const RelExprPtr& node) {
-    bool changed = false;
-    RelExprPtr current = node;
-    auto ensure_copy = [&]() {
-      if (!changed) {
-        current = CloneWithChildren(*node, node->children);
-        changed = true;
-      }
-    };
-    if (node->predicate != nullptr) {
-      ScalarExprPtr folded = FoldScalar(node->predicate);
-      if (folded != node->predicate) {
-        ensure_copy();
-        current->predicate = folded;
-      }
+    ScalarExprPtr predicate = FoldScalar(node->predicate);
+    bool changed = predicate != node->predicate;
+    std::vector<ProjectItem> items = node->proj_items;
+    for (ProjectItem& item : items) {
+      ScalarExprPtr folded = FoldScalar(item.expr);
+      changed |= folded != item.expr;
+      item.expr = std::move(folded);
     }
-    if (!node->proj_items.empty()) {
-      std::vector<ProjectItem> items = node->proj_items;
-      bool item_changed = false;
-      for (ProjectItem& item : items) {
-        ScalarExprPtr folded = FoldScalar(item.expr);
-        item_changed |= folded != item.expr;
-        item.expr = std::move(folded);
-      }
-      if (item_changed) {
-        ensure_copy();
-        current->proj_items = std::move(items);
-      }
-    }
-    return current;
+    if (!changed) return node;
+    RelExprPtr out = CloneWithChildren(*node, node->children);
+    out->predicate = std::move(predicate);
+    out->proj_items = std::move(items);
+    return out;
   }
 
   RelExprPtr DetectEmpty(const RelExprPtr& node) {
     switch (node->kind) {
       case RelKind::kSelect:
-        if (IsProvablyEmpty(node->children[0])) return MakeEmpty(node);
-        return node;
+      case RelKind::kApply:
       case RelKind::kProject:
       case RelKind::kSort:
       case RelKind::kMax1row:
@@ -200,10 +168,6 @@ class Folder {
             }
             break;
         }
-        return node;
-      }
-      case RelKind::kApply: {
-        if (IsProvablyEmpty(node->children[0])) return MakeEmpty(node);
         return node;
       }
       case RelKind::kUnionAll: {

@@ -13,8 +13,9 @@ namespace orq {
 namespace {
 
 /// Records one whole-tree pass when tracing is on and the pass changed the
-/// tree (pointer inequality is a cheap proxy; rewrites share unchanged
-/// subtrees, so an untouched tree comes back as the same root).
+/// tree. Pointer inequality is exact: every pass rebuilds a node only when
+/// its children or payload changed, so an untouched tree comes back as the
+/// same root.
 /// `start_nanos` is the pass entry time; the event carries the pass's wall
 /// time so compile time is attributable per pass (nested identity firings
 /// recorded by apply_removal are inside this window and stay untimed).
@@ -39,14 +40,16 @@ int64_t PassStart(const NormalizerOptions& options) {
 
 Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
                              const NormalizerOptions& options) {
-  // The phases interact: pushdown exposes identity-(2) shapes to Apply
+  // The passes interact: pushdown exposes identity-(2) shapes to Apply
   // removal; Apply removal produces outerjoins for simplification, which in
-  // turn unlocks further pushdown. Three rounds reach fixpoint on all the
-  // plan shapes this library generates.
+  // turn unlocks further pushdown; folding empties subtrees that pushdown
+  // then tidies. Each pass returns its input root when it rewrote nothing,
+  // so the rounds stop at the first one that changes nothing.
   RelExprPtr current = std::move(root);
   RelExprPtr before;
   int64_t start = 0;
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < kRewriteRoundBudget; ++round) {
+    const RelExprPtr round_start = current;
     if (options.pushdown_predicates) {
       before = current;
       start = PassStart(options);
@@ -66,19 +69,18 @@ Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
       current = SimplifyOuterJoins(current);
       TracePhase(options, "oj_simplify", before, current, start);
     }
+    if (options.pushdown_predicates) {
+      // Constant folding + empty-subexpression detection (section 4).
+      before = current;
+      start = PassStart(options);
+      current = FoldAndDetectEmpty(current, columns);
+      TracePhase(options, "fold", before, current, start);
+    }
+    if (current == round_start) break;
   }
   if (options.pushdown_predicates) {
     before = current;
     start = PassStart(options);
-    current = PushdownPredicates(current, columns);
-    // Constant folding + empty-subexpression detection (section 4), then
-    // one more pushdown round to let the simplified tree settle.
-    current = FoldAndDetectEmpty(current, columns);
-    TracePhase(options, "fold", before, current, start);
-    before = current;
-    start = PassStart(options);
-    current = PushdownPredicates(current, columns);
-    current = FoldAndDetectEmpty(current, columns);
     current = PruneColumns(current, columns);
     TracePhase(options, "prune", before, current, start);
   }

@@ -28,10 +28,12 @@ struct NormalizerOptions {
   TraceLog* trace = nullptr;
 };
 
-/// Runs the normalization pipeline: Apply removal to fixpoint, outerjoin
-/// simplification, predicate pushdown/merging, Max1row elimination. The
-/// input must already be free of embedded scalar subqueries (run
-/// IntroduceApplies first).
+/// Runs predicate pushdown, Apply removal (with Max1row elimination),
+/// outerjoin simplification and constant folding in rounds until a round
+/// leaves the tree unchanged (within kRewriteRoundBudget rounds), then
+/// prunes unused columns once. Each pass is gated by its option; folding
+/// and pruning ride with pushdown_predicates. The input must already be
+/// free of embedded scalar subqueries (run IntroduceApplies first).
 Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
                              const NormalizerOptions& options);
 

@@ -17,6 +17,8 @@ namespace orq {
 ///  * infers the equality closure across join/filter conjuncts (enables
 ///    SegmentApply detection on Q17-style plans),
 ///  * merges stacked Projects.
+/// A conjunct is never pushed where the subtree already guarantees it, and
+/// one call reaches pushdown's own fixpoint: a second call returns `root`.
 RelExprPtr PushdownPredicates(RelExprPtr root, ColumnManager* columns);
 
 /// Removes columns not needed by ancestors: narrows Get nodes, drops unused

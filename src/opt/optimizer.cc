@@ -27,18 +27,11 @@ class GreedyOptimizer {
     if (memo != memo_.end()) return memo->second;
 
     // Children first.
-    std::vector<RelExprPtr> children;
-    bool changed = false;
-    for (const RelExprPtr& child : node->children) {
-      RelExprPtr optimized = Optimize(child, depth);
-      changed |= optimized != child;
-      children.push_back(std::move(optimized));
-    }
-    RelExprPtr current =
-        changed ? CloneWithChildren(*node, std::move(children)) : node;
+    RelExprPtr current = OptimizeChildren(node, depth);
 
     if (depth < options_.max_depth) {
-      for (int round = 0; round < 4; ++round) {
+      // Take the cheapest alternative until none is strictly cheaper.
+      for (int round = 0; round < kRewriteRoundBudget; ++round) {
         double current_cost = cost_.Estimate(current).cost;
         RelExprPtr best = current;
         double best_cost = current_cost;
@@ -105,13 +98,10 @@ class GreedyOptimizer {
   RelExprPtr OptimizeChildren(const RelExprPtr& node, int depth) {
     if (depth >= options_.max_depth) return node;
     std::vector<RelExprPtr> children;
-    bool changed = false;
     for (const RelExprPtr& child : node->children) {
-      RelExprPtr optimized = Optimize(child, depth);
-      changed |= optimized != child;
-      children.push_back(std::move(optimized));
+      children.push_back(Optimize(child, depth));
     }
-    return changed ? CloneWithChildren(*node, std::move(children)) : node;
+    return WithChildren(node, std::move(children));
   }
 
   ColumnManager* columns_;

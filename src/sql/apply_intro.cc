@@ -34,14 +34,11 @@ class ApplyIntroducer {
   Result<RelExprPtr> Rewrite(const RelExprPtr& node) {
     // Children first (bottom-up).
     std::vector<RelExprPtr> children;
-    bool changed = false;
     for (const RelExprPtr& child : node->children) {
       ORQ_ASSIGN_OR_RETURN(RelExprPtr rewritten, Rewrite(child));
-      changed |= rewritten != child;
       children.push_back(std::move(rewritten));
     }
-    RelExprPtr current =
-        changed ? CloneWithChildren(*node, std::move(children)) : node;
+    RelExprPtr current = WithChildren(node, std::move(children));
 
     switch (current->kind) {
       case RelKind::kSelect:
@@ -240,19 +237,14 @@ class ApplyIntroducer {
       default:
         break;
     }
-    bool changed = false;
     std::vector<ScalarExprPtr> children;
     children.reserve(expr->children.size());
     for (const ScalarExprPtr& child : expr->children) {
       ORQ_ASSIGN_OR_RETURN(ScalarExprPtr rewritten,
                            ExtractSubqueries(child, input));
-      changed |= rewritten != child;
       children.push_back(std::move(rewritten));
     }
-    if (!changed) return expr;
-    auto copy = std::make_shared<ScalarExpr>(*expr);
-    copy->children = std::move(children);
-    return copy;
+    return WithChildren(expr, std::move(children));
   }
 
   ColumnManager* columns_;

@@ -13,6 +13,8 @@
 #include "algebra/expr_util.h"
 #include "algebra/printer.h"
 #include "algebra/props.h"
+#include "catalog/table.h"
+#include "difftest/dataset.h"
 #include "engine/engine.h"
 #include "normalize/apply_removal.h"
 #include "normalize/normalizer.h"
@@ -555,6 +557,49 @@ TEST_F(NormalizeTest, CountBugSurvivesFilterAboveSubquery) {
   ASSERT_EQ(result->rows.size(), 2u);
   EXPECT_EQ(result->rows[0][0].int64_value(), 2);
   EXPECT_EQ(result->rows[1][0].int64_value(), 4);
+}
+
+/// The Select whose predicate references column `name`, or null.
+RelExprPtr FindSelectOn(const RelExprPtr& node, const ColumnManager& columns,
+                        const std::string& name) {
+  if (node->kind == RelKind::kSelect) {
+    ColumnSet refs;
+    CollectColumnRefsDeep(node->predicate, &refs);
+    for (ColumnId id : refs) {
+      if (columns.name(id) == name) return node;
+    }
+  }
+  for (const RelExprPtr& child : node->children) {
+    if (RelExprPtr found = FindSelectOn(child, columns, name)) return found;
+  }
+  return nullptr;
+}
+
+// The filter on orders only reaches `Get orders` after Apply removal has
+// turned the scalar subquery into a join and pushdown has run again; the
+// former fixed three rounds stopped with it above the lineitem join.
+TEST(NormalizeFixpointTest, SelectionReachesItsTableBelowDecorrelatedJoin) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildDifftestCatalog(&catalog, 20261017).ok());
+  QueryEngine engine(&catalog);
+  Result<QueryEngine::Compiled> compiled = engine.Compile(
+      "select t0.l_shipdate, max(t2.p_partkey) from lineitem t0 "
+      "join orders t1 on t1.o_orderkey = t0.l_orderkey "
+      "left outer join part t2 on t2.p_partkey = t0.l_partkey "
+      "where t1.o_orderdate = date '1995-01-01' "
+      "and (select max(q56.c_nationkey) from customer q56 "
+      "where q56.c_custkey = t1.o_custkey) = 1 "
+      "and exists (select * from part q57 where q57.p_partkey = t0.l_partkey) "
+      "group by t0.l_shipdate having count(*) > 100.0");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const ColumnManager& columns = *compiled->columns;
+  RelExprPtr select =
+      FindSelectOn(compiled->normalized, columns, "o_orderdate");
+  ASSERT_NE(select, nullptr) << PrintRelTree(*compiled->normalized, &columns);
+  const RelExprPtr& input = select->children[0];
+  ASSERT_EQ(input->kind, RelKind::kGet)
+      << PrintRelTree(*compiled->normalized, &columns);
+  EXPECT_EQ(input->table->name(), "orders");
 }
 
 }  // namespace

@@ -150,6 +150,31 @@ TEST_F(ObsTest, TraceRecordsApplyRemovalSequence) {
   EXPECT_TRUE(saw_apply_removal);
 }
 
+// A phase event means the pass changed the tree. Outerjoin simplification
+// has nothing to do on a single-table filter, so it records no event, and
+// the normalizer's loop stops after one round: pushdown and fold change
+// nothing either.
+TEST_F(ObsTest, PhaseEventsOnlyForPassesThatChangedTheTree) {
+  QueryEngine engine(&catalog_);
+  const std::string sql =
+      "select o_orderkey from orders where o_totalprice > 1000";
+  Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::vector<std::string> normalize_phases;
+  for (const TraceEvent& event : analyzed->trace.events()) {
+    if (event.stage == TraceEvent::Stage::kNormalize &&
+        event.kind == TraceEvent::Kind::kPhase) {
+      normalize_phases.push_back(event.rule);
+    }
+  }
+  // Only column pruning (narrowing `Get orders`) rewrites this tree.
+  EXPECT_EQ(normalize_phases, std::vector<std::string>{"prune"});
+
+  Result<std::string> explain = engine.ExplainAnalyze(sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->find("oj_simplify"), std::string::npos) << *explain;
+}
+
 // Optimizer firings carry cost-before/cost-after; accepted rules must
 // report an improvement.
 TEST_F(ObsTest, OptimizerTraceReportsCostImprovements) {

@@ -7,6 +7,10 @@
 //                 [--table-encoding plain|dict|rle|auto]
 //                 [--timeout-ms N] [--plan-cache]
 //
+// Every query also goes through the idempotence oracle: normalizing the
+// normalized tree and optimizing the optimized tree must each return the
+// same tree.
+//
 // --plan-cache adds a cached-vs-cold oracle side: every non-divergent
 // query also runs twice through one plan-cache-enabled engine, and the
 // cached execution must be a cache hit with byte-identical results.
@@ -27,7 +31,8 @@
 // (reference scans stay plain), so `--reference-exec row --test-exec
 // columnar --table-encoding auto` is the encoded-storage oracle.
 //
-// Exit code 0 when every query agreed, 1 on divergence, 2 on setup error.
+// Exit code 0 when every query agreed and every oracle held, 1 on a
+// divergence or oracle failure, 2 on setup error.
 
 #include <cstdio>
 #include <cstdlib>
