@@ -75,6 +75,12 @@ class NLJoinOp : public PhysicalOp {
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
     have_left_ = false;
     inner_open_ = false;
+    // The outer batch is kept across re-opens (no per-open allocation).
+    if (probe_.capacity() != static_cast<size_t>(ctx->batch_size)) {
+      probe_ = RowBatch(ctx->batch_size);
+    }
+    probe_.Clear();
+    probe_pos_ = 0;
     if (!rebind_inner_) {
       if (cache_inner_ && inner_cached_) {
         // Uncorrelated inner re-opened (e.g. under an outer Apply or a
@@ -104,8 +110,6 @@ class NLJoinOp : public PhysicalOp {
         inner_cached_ = cache_inner_;
         inner_cols_ready_ = false;
       }
-      probe_ = RowBatch(ctx->batch_size);
-      probe_pos_ = 0;
       cj_ = 0;
       ck_ = 0;
       out_left_.clear();
@@ -120,7 +124,7 @@ class NLJoinOp : public PhysicalOp {
     const size_t right_width = children_[1]->layout().size();
     while (true) {
       if (!have_left_) {
-        ORQ_ASSIGN_OR_RETURN(bool more, children_[0]->Next(ctx, &left_row_));
+        ORQ_ASSIGN_OR_RETURN(bool more, NextLeft(ctx));
         if (!more) return false;
         have_left_ = true;
         matched_ = false;
@@ -322,6 +326,23 @@ class NLJoinOp : public PhysicalOp {
   }
 
  private:
+  /// The next outer row into left_row_. In the batched engines a
+  /// correlated Apply pulls its outer input a batch at a time, so the outer
+  /// subtree runs its batch or columnar path; rows are copied out of the
+  /// batch so both keep their capacity.
+  Result<bool> NextLeft(ExecContext* ctx) {
+    if (!rebind_inner_ || !ctx->batched) {
+      return children_[0]->Next(ctx, &left_row_);
+    }
+    if (probe_pos_ >= probe_.size()) {
+      ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &probe_));
+      if (probe_.empty()) return false;
+      probe_pos_ = 0;
+    }
+    left_row_ = probe_.row(probe_pos_++);
+    return true;
+  }
+
   /// Transposes the inner spool into owned columns (types from the first
   /// row's tags; a later mismatch degrades that column to boxed values).
   void TransposeInner() {

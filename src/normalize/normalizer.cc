@@ -43,8 +43,9 @@ Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
   // The passes interact: pushdown exposes identity-(2) shapes to Apply
   // removal; Apply removal produces outerjoins for simplification, which in
   // turn unlocks further pushdown; folding empties subtrees that pushdown
-  // then tidies. Each pass returns its input root when it rewrote nothing,
-  // so the rounds stop at the first one that changes nothing.
+  // then tidies; pruning unused columns can expose identity shapes too.
+  // Each pass returns its input root when it rewrote nothing, so the
+  // rounds stop at the first one that changes nothing.
   RelExprPtr current = std::move(root);
   RelExprPtr before;
   int64_t start = 0;
@@ -75,14 +76,17 @@ Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
       start = PassStart(options);
       current = FoldAndDetectEmpty(current, columns);
       TracePhase(options, "fold", before, current, start);
+      // Pruning last in the round: a narrower tree can enable one more
+      // Apply removal, which the next round then sees. A later round that
+      // has changed nothing so far holds the last prune's own output.
+      if (round == 0 || current != round_start) {
+        before = current;
+        start = PassStart(options);
+        current = PruneColumns(current, columns);
+        TracePhase(options, "prune", before, current, start);
+      }
     }
     if (current == round_start) break;
-  }
-  if (options.pushdown_predicates) {
-    before = current;
-    start = PassStart(options);
-    current = PruneColumns(current, columns);
-    TracePhase(options, "prune", before, current, start);
   }
   return current;
 }

@@ -28,6 +28,13 @@ class Rule {
 std::vector<std::unique_ptr<Rule>> BuildRuleSet(
     const OptimizerOptions& options);
 
+/// Cost-based inner-join ordering with semi/anti-join placement
+/// (join_order.cc): one pass over the whole tree ahead of the greedy rule
+/// search. Keeps each reordered block only when `cost` ranks it strictly
+/// cheaper; records accepted and rejected orders in `trace` when non-null.
+RelExprPtr OrderJoins(const RelExprPtr& root, CostModel* cost,
+                      TraceLog* trace);
+
 // Individual factories (exposed for targeted tests).
 std::unique_ptr<Rule> MakeJoinCommuteRule();
 std::unique_ptr<Rule> MakeCorrelatedReintroductionRule();

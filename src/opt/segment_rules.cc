@@ -73,11 +73,12 @@ class Closure {
 /// described in DESIGN.md): sibling join inputs must join on
 /// segment-equivalent columns and be keyed by them (all-or-none, at most
 /// one row per segment), and selections on the path must not filter T's
-/// own non-segment columns.
+/// own non-segment columns. `t_cols` receives T's output, which may be
+/// wider than E2's (the two instances can be pruned differently).
 bool FindIsomorphicSubtree(
     const RelExprPtr& x, const RelExprPtr& e2, Closure* closure,
     const std::vector<std::pair<ColumnId, ColumnId>>& links,
-    std::map<ColumnId, ColumnId>* iso_map) {
+    std::map<ColumnId, ColumnId>* iso_map, ColumnSet* t_cols) {
   std::map<ColumnId, ColumnId> m;
   if (RelTreesIsomorphic(e2, x, &m)) {
     bool linked = true;
@@ -90,6 +91,7 @@ bool FindIsomorphicSubtree(
     }
     if (linked) {
       *iso_map = std::move(m);
+      *t_cols = x->OutputSet();
       return true;
     }
   }
@@ -102,17 +104,16 @@ bool FindIsomorphicSubtree(
   switch (x->kind) {
     case RelKind::kSelect: {
       const RelExprPtr& child = x->children[0];
-      if (!FindIsomorphicSubtree(child, e2, closure, links, iso_map)) {
+      if (!FindIsomorphicSubtree(child, e2, closure, links, iso_map,
+                                 t_cols)) {
         return false;
       }
       // The selection must not filter individual T rows: every referenced
       // T column must be segment-equivalent.
-      ColumnSet t_cols;
-      for (const auto& [e2_id, t_id] : *iso_map) t_cols.Add(t_id);
       ColumnSet refs;
       CollectColumnRefsDeep(x->predicate, &refs);
       for (ColumnId id : refs) {
-        if (t_cols.Contains(id) && !segment_equiv(id)) return false;
+        if (t_cols->Contains(id) && !segment_equiv(id)) return false;
       }
       return true;
     }
@@ -121,7 +122,7 @@ bool FindIsomorphicSubtree(
       for (int side = 0; side < 2; ++side) {
         std::map<ColumnId, ColumnId> local;
         if (!FindIsomorphicSubtree(x->children[side], e2, closure, links,
-                                   &local)) {
+                                   &local, t_cols)) {
           continue;
         }
         const RelExprPtr& z = x->children[1 - side];
@@ -191,7 +192,10 @@ SegmentBuild BuildSegmentApplyCore(
   CollectEqualities(x, &eq_pairs);
   Closure closure(eq_pairs);
   std::map<ColumnId, ColumnId> iso_map;  // E2 id -> T id
-  if (!FindIsomorphicSubtree(x, e2, &closure, links, &iso_map)) return out;
+  ColumnSet t_cols;
+  if (!FindIsomorphicSubtree(x, e2, &closure, links, &iso_map, &t_cols)) {
+    return out;
+  }
 
   std::vector<ColumnId> x_out = x->OutputColumns();
   std::vector<ColumnId> s1_ids, s2_ids;
@@ -515,7 +519,10 @@ class SegmentApplySemiJoinIntroRule : public Rule {
     CollectEqualities(x, &eq_pairs);
     Closure closure(eq_pairs);
     std::map<ColumnId, ColumnId> iso_map;
-    if (!FindIsomorphicSubtree(x, e2, &closure, links, &iso_map)) return {};
+    ColumnSet t_cols;
+    if (!FindIsomorphicSubtree(x, e2, &closure, links, &iso_map, &t_cols)) {
+      return {};
+    }
 
     // Segment scans: S1 streams the segment (X rows), S2 replays it as
     // the inner instance; residual conjuncts remap X -> S1, E2 -> S2.

@@ -602,5 +602,32 @@ TEST(NormalizeFixpointTest, SelectionReachesItsTableBelowDecorrelatedJoin) {
   EXPECT_EQ(input->table->name(), "orders");
 }
 
+// Pruning can narrow a Project so that a scalar subquery's Apply matches
+// an Apply removal identity; with pruning run once after the rounds, a
+// second Normalize still removed that Apply (a generated query of the
+// difftest stream, minimized).
+TEST(NormalizeFixpointTest, PruningEnablesApplyRemovalInTheSameCall) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildDifftestCatalog(&catalog, 805).ok());
+  QueryEngine engine(&catalog);
+  Result<QueryEngine::Compiled> compiled = engine.Compile(
+      "select t0.c_custkey from customer t0 "
+      "where (select q1.n_nationkey from nation q1 "
+      "where q1.n_nationkey = t0.c_nationkey and q1.n_nationkey = "
+      "(select count(*) from customer q2 "
+      "where q2.c_nationkey = q1.n_nationkey)) > 1 "
+      "and (select count(*) from orders q3 "
+      "where q3.o_custkey = t0.c_custkey) > 3");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const RelExprPtr& normalized = compiled->normalized;
+  ColumnManager* columns = compiled->columns.get();
+  EXPECT_EQ(CountKind(normalized, RelKind::kApply), 0)
+      << PrintRelTree(*normalized, columns);
+  Result<RelExprPtr> again =
+      Normalize(normalized, columns, engine.options().normalizer);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, normalized) << PrintRelTree(**again, columns);
+}
+
 }  // namespace
 }  // namespace orq

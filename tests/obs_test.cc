@@ -117,6 +117,31 @@ TEST_F(ObsTest, CorrelatedExecutionShowsReopens) {
   EXPECT_EQ(max_opens, 300);
 }
 
+// An index seek under a rebinding Apply runs once per outer row, so it
+// carries the per-open estimate the cost model prices it with, not the
+// uncorrelated selection's (which took the outer column for a column of
+// `rows` distinct values and showed ~1 row at a full-scan cost).
+TEST_F(ObsTest, CorrelatedIndexSeekCarriesPerOpenEstimate) {
+  QueryEngine engine(&catalog_, EngineOptions::CorrelatedOnly());
+  Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(subquery_sql_);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const PlanStatsNode* seek = nullptr;
+  ForEachNode(analyzed->plan, [&](const PlanStatsNode& node) {
+    if (node.name.rfind("IndexSeek", 0) == 0) seek = &node;
+  });
+  ASSERT_NE(seek, nullptr) << RenderPlanStats(analyzed->plan);
+  ASSERT_EQ(seek->stats.open_calls, 300);
+  const double per_open =
+      static_cast<double>(seek->stats.rows_out) / seek->stats.open_calls;
+  // orders/customers = 3000/300: ten orders per customer on average.
+  EXPECT_NEAR(seek->est_rows, 10.0, 0.5) << RenderPlanStats(analyzed->plan);
+  EXPECT_LT(std::max(seek->est_rows / per_open, per_open / seek->est_rows),
+            2.0)
+      << RenderPlanStats(analyzed->plan);
+  // One probe plus a bucket's rows, far below a scan of orders.
+  EXPECT_LT(seek->est_cost, 100.0) << RenderPlanStats(analyzed->plan);
+}
+
 // (b) The rule trace records the Apply-removal sequence the paper's Fig. 4
 // identities prescribe for a correlated scalar aggregate: pushdown into
 // the Apply (identity 2), GroupBy pull-up (identity 9), and the final

@@ -4,11 +4,14 @@
 // verify the rules fire on the scenarios the paper describes.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
 
 #include "algebra/printer.h"
 #include "algebra/props.h"
 #include "engine/engine.h"
+#include "engine/plan_cache.h"
 #include "opt/cost.h"
 #include "opt/rules.h"
 #include "tests/test_util.h"
@@ -22,6 +25,27 @@ int CountKind(const RelExprPtr& node, RelKind kind) {
   int n = node->kind == kind ? 1 : 0;
   for (const RelExprPtr& child : node->children) n += CountKind(child, kind);
   return n;
+}
+
+/// First node in pre-order that satisfies `pred`, or null.
+RelExprPtr FindNode(const RelExprPtr& node,
+                    const std::function<bool(const RelExpr&)>& pred) {
+  if (pred(*node)) return node;
+  for (const RelExprPtr& child : node->children) {
+    if (RelExprPtr found = FindNode(child, pred)) return found;
+  }
+  return nullptr;
+}
+
+/// Names of the tables the subtree reads.
+std::set<std::string> Tables(const RelExprPtr& node) {
+  std::set<std::string> out;
+  if (node->kind == RelKind::kGet) out.insert(node->table->name());
+  for (const RelExprPtr& child : node->children) {
+    std::set<std::string> below = Tables(child);
+    out.insert(below.begin(), below.end());
+  }
+  return out;
 }
 
 class RuleTest : public ::testing::Test {
@@ -414,6 +438,29 @@ TEST_F(RuleTest, SegmentApplyIntroRejectsNonEquiPredicate) {
   EXPECT_TRUE(rule->Apply(tree, columns_.get(), &cost).empty());
 }
 
+TEST_F(RuleTest, SegmentApplyIntroRejectsFilterOnColumnTheOtherInstanceLacks) {
+  // G(sigma_{fv > 2}(fact) ⋈ fact2): the filter drops single rows of the
+  // first instance, so the segments would hold fewer rows than the
+  // aggregated instance. Pruning left fact2 without fv, and the check must
+  // still see fv as a column of the matched instance.
+  std::map<std::string, ColumnId> f1, f2;
+  RelExprPtr gf1 = Get(fact_, &f1);
+  RelExprPtr gf2 = Get(fact_, &f2);
+  gf2->get_cols = {f2.at("fk"), f2.at("fd")};
+  gf2->get_ordinals = {0, 1};
+  RelExprPtr filtered =
+      MakeSelect(gf1, MakeCompare(CompareOp::kGt, Ref(f1, "fv"), LitInt(2)));
+  RelExprPtr join = MakeJoin(JoinKind::kInner, filtered, gf2,
+                             Eq(Ref(f2, "fd"), Ref(f1, "fd")));
+  ColumnId m = columns_->NewColumn("m", DataType::kInt64, true);
+  RelExprPtr tree =
+      MakeGroupBy(join, ColumnSet{f1.at("fk"), f1.at("fd")},
+                  {AggItem{AggFunc::kMin, Ref(f2, "fk"), m, false}});
+  auto rule = MakeSegmentApplyIntroRule();
+  CostModel cost(&catalog_);
+  EXPECT_TRUE(rule->Apply(tree, columns_.get(), &cost).empty());
+}
+
 TEST_F(RuleTest, SegmentApplySemiJoinIntro) {
   // "lineitems that are below some other quantity of the same part":
   // fact ⋉ fact2 on fd2 = fd ∧ fv < fv2 — the existential variant of
@@ -471,6 +518,149 @@ TEST_F(RuleTest, JoinPushBelowSegmentApply) {
   ASSERT_EQ(pushed.size(), 1u);
   EXPECT_EQ(pushed[0]->kind, RelKind::kSegmentApply);
   EXPECT_EQ(pushed[0]->children[0]->kind, RelKind::kJoin);
+}
+
+TEST_F(RuleTest, JoinOrderNeverCrossesAnOuterJoin) {
+  // dim ⋈ (fact LOJ dim2) ⋈ dim3, where dim3 joins the outer join's
+  // null-supplying side: the outer join stays one leaf of the block.
+  std::map<std::string, ColumnId> d1, f, d2, d3;
+  RelExprPtr gd1 = Get(dim_, &d1);
+  RelExprPtr gf = Get(fact_, &f);
+  RelExprPtr gd2 = Get(dim_, &d2);
+  RelExprPtr gd3 = Get(dim_, &d3);
+  RelExprPtr loj = MakeJoin(JoinKind::kLeftOuter, gf, gd2,
+                            Eq(Ref(d2, "dk"), Ref(f, "fv")));
+  RelExprPtr tree = MakeJoin(
+      JoinKind::kInner,
+      MakeJoin(JoinKind::kInner, gd1, loj, Eq(Ref(f, "fd"), Ref(d1, "dk"))),
+      gd3, Eq(Ref(d3, "dv"), Ref(d2, "dv")));
+  CostModel cost(&catalog_);
+  RelExprPtr ordered = OrderJoins(tree, &cost, nullptr);
+  EXPECT_NE(FindNode(ordered, [&](const RelExpr& n) { return &n == loj.get(); }),
+            nullptr)
+      << PrintRelTree(*ordered, columns_.get());
+  // The block is reordered around it (the outer join now probes dim).
+  EXPECT_NE(ordered, tree);
+  EXPECT_EQ(CountKind(ordered, RelKind::kJoin), 3);
+  std::vector<ColumnId> out = tree->OutputColumns();
+  Result<std::vector<Row>> expected = ExecLogical(tree, *columns_, out);
+  Result<std::vector<Row>> actual = ExecLogical(ordered, *columns_, out);
+  ASSERT_TRUE(expected.ok() && actual.ok());
+  EXPECT_EQ(CanonicalRows(*expected), CanonicalRows(*actual));
+}
+
+TEST_F(RuleTest, JoinOrderTakesTheSmallestCrossProductFirst) {
+  // (dim × fact) × dim2 with no predicate at all: 4x20 then x4 rows
+  // against 4x4 then x20. The two dims are crossed first, and the base
+  // input added last goes right.
+  std::map<std::string, ColumnId> d1, f, d2;
+  RelExprPtr gd1 = Get(dim_, &d1);
+  RelExprPtr gf = Get(fact_, &f);
+  RelExprPtr gd2 = Get(dim_, &d2);
+  RelExprPtr tree = MakeJoin(
+      JoinKind::kInner, MakeJoin(JoinKind::kInner, gd1, gf, nullptr), gd2,
+      nullptr);
+  CostModel cost(&catalog_);
+  RelExprPtr ordered = OrderJoins(tree, &cost, nullptr);
+  ASSERT_EQ(ordered->kind, RelKind::kJoin)
+      << PrintRelTree(*ordered, columns_.get());
+  EXPECT_EQ(ordered->children[1], gf) << PrintRelTree(*ordered, columns_.get());
+  const RelExprPtr& first = ordered->children[0];
+  ASSERT_EQ(first->kind, RelKind::kJoin);
+  EXPECT_EQ(Tables(first), std::set<std::string>{"dim"});
+  EXPECT_EQ(CountKind(first, RelKind::kGet), 2);
+  std::vector<ColumnId> out = tree->OutputColumns();
+  Result<std::vector<Row>> expected = ExecLogical(tree, *columns_, out);
+  Result<std::vector<Row>> actual = ExecLogical(ordered, *columns_, out);
+  ASSERT_TRUE(expected.ok() && actual.ok());
+  EXPECT_EQ(CanonicalRows(*expected), CanonicalRows(*actual));
+  // A two-input join is not a block to order: returned as is.
+  RelExprPtr pair = MakeJoin(JoinKind::kInner, gf, gd1, nullptr);
+  EXPECT_EQ(OrderJoins(pair, &cost, nullptr), pair);
+}
+
+/// TPC-H at SF 0.01, generated once for the plan-shape tests below.
+Catalog* TpchCatalog() {
+  static Catalog* catalog = [] {
+    auto* c = new Catalog;
+    TpchGenOptions options;
+    options.scale_factor = 0.01;
+    EXPECT_TRUE(GenerateTpch(c, options).ok());
+    return c;
+  }();
+  return catalog;
+}
+
+QueryEngine::Compiled CompileTpch(const std::string& id) {
+  QueryEngine engine(TpchCatalog(), EngineOptions::Full());
+  Result<QueryEngine::Compiled> compiled =
+      engine.Compile(GetTpchQuery(id).sql);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return *compiled;
+}
+
+bool IsSemiOrAnti(const RelExpr& n, bool anti) {
+  if (n.kind == RelKind::kJoin) {
+    return n.join_kind == (anti ? JoinKind::kLeftAnti : JoinKind::kLeftSemi);
+  }
+  return n.kind == RelKind::kApply &&
+         n.apply_kind == (anti ? ApplyKind::kAnti : ApplyKind::kSemi);
+}
+
+TEST(JoinOrderTpchTest, Q21JoinsNationAndSupplierBeforeLineitem) {
+  QueryEngine::Compiled q21 = CompileTpch("Q21");
+  const std::string plan = PrintRelTree(*q21.optimized, q21.columns.get());
+  // The smallest subtree reading both nation and supplier reads nothing
+  // else: the 1-row nation filter meets supplier before lineitem.
+  RelExprPtr both;
+  std::function<void(const RelExprPtr&)> visit = [&](const RelExprPtr& n) {
+    std::set<std::string> tables = Tables(n);
+    if (tables.count("nation") && tables.count("supplier")) both = n;
+    for (const RelExprPtr& child : n->children) visit(child);
+  };
+  visit(q21.optimized);
+  ASSERT_NE(both, nullptr) << plan;
+  EXPECT_EQ(Tables(both), (std::set<std::string>{"nation", "supplier"}))
+      << plan;
+}
+
+TEST(JoinOrderTpchTest, Q21KeepsExistsAndNotExistsAboveTheBlock) {
+  QueryEngine::Compiled q21 = CompileTpch("Q21");
+  const std::string plan = PrintRelTree(*q21.optimized, q21.columns.get());
+  RelExprPtr anti = FindNode(
+      q21.optimized, [](const RelExpr& n) { return IsSemiOrAnti(n, true); });
+  RelExprPtr semi = FindNode(
+      q21.optimized, [](const RelExpr& n) { return IsSemiOrAnti(n, false); });
+  ASSERT_NE(anti, nullptr) << plan;
+  ASSERT_NE(semi, nullptr) << plan;
+  EXPECT_EQ(anti->children[0], semi) << plan;
+  EXPECT_EQ(Tables(semi->children[0]),
+            (std::set<std::string>{"lineitem", "nation", "orders",
+                                   "supplier"}))
+      << plan;
+}
+
+TEST(JoinOrderTpchTest, Q18SemiJoinSitsOnOrders) {
+  QueryEngine::Compiled q18 = CompileTpch("Q18");
+  const std::string plan = PrintRelTree(*q18.optimized, q18.columns.get());
+  RelExprPtr semi = FindNode(
+      q18.optimized, [](const RelExpr& n) { return IsSemiOrAnti(n, false); });
+  ASSERT_NE(semi, nullptr) << plan;
+  ASSERT_EQ(semi->children[0]->kind, RelKind::kGet) << plan;
+  EXPECT_EQ(semi->children[0]->table->name(), "orders") << plan;
+}
+
+TEST(JoinOrderTpchTest, OptimizingTheOptimizedTreeChangesNothing) {
+  for (const TpchQuery& query : TpchQuerySet()) {
+    SCOPED_TRACE(query.id);
+    QueryEngine::Compiled compiled = CompileTpch(query.id);
+    Result<RelExprPtr> again =
+        OptimizeTree(compiled.optimized, TpchCatalog(),
+                     compiled.columns.get(), EngineOptions::Full().optimizer);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(CanonicalizeTree(**again), CanonicalizeTree(*compiled.optimized))
+        << PrintRelTree(**again, compiled.columns.get());
+  }
 }
 
 TEST_F(RuleTest, Q17PlanUsesSegmentApply) {
