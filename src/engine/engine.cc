@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -19,8 +20,7 @@ namespace orq {
 namespace {
 
 /// Runs `plan` and projects the query's output columns (plans may carry
-/// extra columns). Shared by the plain and the instrumented execution
-/// paths so their results cannot drift apart.
+/// extra columns).
 Result<QueryResult> RunAndProject(PhysicalOp* plan,
                                   const QueryEngine::Compiled& compiled,
                                   ExecContext* ctx) {
@@ -28,18 +28,12 @@ Result<QueryResult> RunAndProject(PhysicalOp* plan,
   const std::vector<ColumnId>& layout = plan->layout();
   std::vector<int> slots;
   for (ColumnId id : compiled.output_cols) {
-    int slot = -1;
-    for (size_t i = 0; i < layout.size(); ++i) {
-      if (layout[i] == id) {
-        slot = static_cast<int>(i);
-        break;
-      }
-    }
-    if (slot < 0) {
+    auto it = std::find(layout.begin(), layout.end(), id);
+    if (it == layout.end()) {
       return Status::Internal("output column lost during optimization: #" +
                               std::to_string(id));
     }
-    slots.push_back(slot);
+    slots.push_back(static_cast<int>(it - layout.begin()));
   }
   QueryResult result;
   result.column_names = compiled.output_names;
@@ -325,125 +319,127 @@ Result<QueryEngine::PlannedQuery> QueryEngine::PlanWithCache(
   return planned;
 }
 
-Result<QueryEngine::Compiled> QueryEngine::MaterializePlan(
-    const PlannedQuery& planned,
-    const std::vector<Value>& explicit_values) const {
-  const CachedPlan& plan = *planned.plan;
-  if (explicit_values.size() != plan.num_explicit_params) {
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(plan.num_explicit_params) +
-        " parameter(s), got " + std::to_string(explicit_values.size()));
+namespace {
+
+/// The observed window of one execute call: stamps the profile's start on
+/// entry (unless the caller already did) and its total on every exit, so a
+/// query that fails before execution still books PhaseSum() <= total_nanos.
+/// Without an observer it reads no clock.
+class ObservedWindow {
+ public:
+  explicit ObservedWindow(const ExecControl& control)
+      : profile_(control.observe != nullptr ? &control.observe->profile
+                                            : nullptr) {
+    if (profile_ == nullptr) return;
+    if (profile_->start_nanos == 0) profile_->start_nanos = ObsNowNanos();
+    if (profile_->query_id.empty()) profile_->query_id = control.query_id;
   }
-  std::vector<Value> values;
-  values.reserve(explicit_values.size() + planned.auto_values.size());
-  values.insert(values.end(), explicit_values.begin(), explicit_values.end());
-  values.insert(values.end(), planned.auto_values.begin(),
-                planned.auto_values.end());
-  Compiled compiled;
-  compiled.columns = plan.columns;
-  ORQ_ASSIGN_OR_RETURN(
-      compiled.optimized,
-      SubstituteParams(plan.optimized, values, plan.param_types));
-  compiled.output_cols = plan.output_cols;
-  compiled.output_names = plan.output_names;
-  return compiled;
+  ~ObservedWindow() {
+    if (profile_ != nullptr) {
+      profile_->total_nanos = ObsNowNanos() - profile_->start_nanos;
+    }
+  }
+  ObservedWindow(const ObservedWindow&) = delete;
+  ObservedWindow& operator=(const ObservedWindow&) = delete;
+
+ private:
+  QueryProfile* profile_;
+};
+
+/// Preorder registration of the operator tree for span export: ids are
+/// assigned parent-before-child and names are formatted once, up front, so
+/// span emission at Close touches no virtual calls.
+void RegisterOpTree(SpanRecorder* spans, const PhysicalOp& op,
+                    int parent_id) {
+  const int id = spans->RegisterOp(&op, op.name(), parent_id);
+  for (const PhysicalOp* child : op.children()) {
+    RegisterOpTree(spans, *child, id);
+  }
 }
 
-Result<QueryEngine::PreparedInfo> QueryEngine::Prepare(
-    const std::string& sql) {
-  const EngineOptions options = this->options();
-  PreparedInfo info;
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, nullptr, nullptr, nullptr));
-    const CachedPlan& plan = *planned.plan;
-    info.param_types.assign(
-        plan.param_types.begin(),
-        plan.param_types.begin() +
-            static_cast<long>(plan.num_explicit_params));
-    info.output_names = plan.output_names;
-    return info;
-  }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled, CompileWith(sql, options));
-  info.param_types = compiled.param_types;
-  info.output_names = compiled.output_names;
-  return info;
-}
+}  // namespace
 
-Result<QueryResult> QueryEngine::ExecuteParams(
-    const std::string& sql, const std::vector<Value>& params,
-    const ExecControl& control) {
-  const EngineOptions options = this->options();
+Result<QueryEngine::Compiled> QueryEngine::PlanQuery(
+    const std::string& sql, const std::vector<Value>* params,
+    const EngineOptions& options, const ExecControl& control) {
   QueryObservation* observe = control.observe;
   QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
-  if (profile != nullptr) {
-    if (profile->start_nanos == 0) profile->start_nanos = ObsNowNanos();
-    if (profile->query_id.empty()) profile->query_id = control.query_id;
-  }
+  Compiled compiled;
+  PlannedQuery planned;
   if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, profile, control.cancel,
-                      control.metrics));
+    ORQ_ASSIGN_OR_RETURN(planned, PlanWithCache(sql, options, profile,
+                                                control.cancel,
+                                                control.metrics));
+    const CachedPlan& plan = *planned.plan;
     if (profile != nullptr) {
       profile->cache =
           planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
     }
     if (observe != nullptr) {
-      observe->fingerprint = FingerprintHex(planned.plan->canonical);
+      observe->fingerprint = FingerprintHex(plan.canonical);
     }
-    ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                         MaterializePlan(planned, params));
-    return ExecuteCompiledWith(compiled, options, control);
+    compiled.columns = plan.columns;
+    compiled.optimized = plan.optimized;
+    compiled.output_cols = plan.output_cols;
+    compiled.output_names = plan.output_names;
+    compiled.param_types.assign(
+        plan.param_types.begin(),
+        plan.param_types.begin() +
+            static_cast<long>(plan.num_explicit_params));
+  } else {
+    ORQ_ASSIGN_OR_RETURN(compiled,
+                         CompileWith(sql, options, profile, control.cancel));
   }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                       CompileWith(sql, options, profile, control.cancel));
-  if (params.size() != compiled.param_types.size()) {
+  if (params == nullptr) return compiled;
+
+  const size_t num_explicit = compiled.param_types.size();
+  if (params->size() != num_explicit) {
+    if (params->empty()) return MissingParamsError(num_explicit);
     return Status::InvalidArgument(
-        "statement expects " + std::to_string(compiled.param_types.size()) +
-        " parameter(s), got " + std::to_string(params.size()));
+        "statement expects " + std::to_string(num_explicit) +
+        " parameter(s), got " + std::to_string(params->size()));
   }
-  if (!params.empty()) {
+  // Explicit `?` values first, then the literals the cache stripped out;
+  // the cached template's types cover both.
+  std::vector<Value> values = *params;
+  values.insert(values.end(), planned.auto_values.begin(),
+                planned.auto_values.end());
+  if (!values.empty()) {
     ORQ_ASSIGN_OR_RETURN(
         compiled.optimized,
-        SubstituteParams(compiled.optimized, params, compiled.param_types));
+        SubstituteParams(compiled.optimized, values,
+                         planned.plan != nullptr ? planned.plan->param_types
+                                                 : compiled.param_types));
+    compiled.param_types.clear();
   }
-  if (observe != nullptr) {
+  if (observe != nullptr && planned.plan == nullptr) {
+    // No cache lane: fingerprint the optimized tree directly. Literals are
+    // still embedded here, so unlike the cache-lane fingerprint this one
+    // distinguishes literal variants of a shape.
     observe->fingerprint =
         FingerprintHex(CanonicalizeTree(*compiled.optimized));
   }
-  return ExecuteCompiledWith(compiled, options, control);
+  return compiled;
 }
 
-Result<QueryResult> QueryEngine::ExecuteCompiled(const Compiled& compiled,
-                                                 const ExecControl& control) {
-  return ExecuteCompiledWith(compiled, options(), control);
-}
-
-Result<QueryResult> QueryEngine::ExecuteCompiledWith(
-    const Compiled& compiled, const EngineOptions& options,
-    const ExecControl& control) {
+Result<QueryResult> QueryEngine::RunPlan(const Compiled& compiled,
+                                         const EngineOptions& options,
+                                         const ExecControl& control) {
   QueryObservation* observe = control.observe;
   QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
-  if (profile != nullptr && profile->start_nanos == 0) {
-    profile->start_nanos = ObsNowNanos();
-  }
   PhysicalOpPtr plan;
   {
     PhaseTimer timer(profile, QueryPhase::kPhysicalBuild);
-    if (observe != nullptr) {
-      // Cost estimates ride along so the observation carries est-vs-actual
-      // rows per operator; plan choice happened during optimization, the
-      // model only annotates here (same as ExecuteAnalyzed).
-      CostModel cost(catalog_);
-      ORQ_ASSIGN_OR_RETURN(
-          plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                  EffectivePhysicalOptions(options), &cost));
-    } else {
-      ORQ_ASSIGN_OR_RETURN(
-          plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                  EffectivePhysicalOptions(options)));
+    // Cost estimates ride along when observing, so the stats tree carries
+    // est-vs-actual rows per operator; plan choice happened during
+    // optimization, the model only annotates here.
+    CostModel cost(catalog_);
+    ORQ_ASSIGN_OR_RETURN(
+        plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
+                                EffectivePhysicalOptions(options),
+                                observe != nullptr ? &cost : nullptr));
+    if (control.spans != nullptr) {
+      RegisterOpTree(control.spans, *plan, /*parent_id=*/-1);
     }
   }
   // The pool reference is held across execution so a concurrent
@@ -459,26 +455,30 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
   ctx.progress_rows = control.progress_rows;
   StatsCollector collector;
   ExecInstruments instruments;
-  if (control.metrics != nullptr) instruments.metrics = control.metrics;
+  instruments.metrics = control.metrics;
+  instruments.spans = control.spans;
   if (observe != nullptr) instruments.stats = &collector;
-  if (instruments.metrics != nullptr || instruments.stats != nullptr) {
+  if (instruments.metrics != nullptr || instruments.stats != nullptr ||
+      instruments.spans != nullptr) {
     ctx.instruments = &instruments;
   }
-  if (observe == nullptr) return RunAndProject(plan.get(), compiled, &ctx);
-
-  // Observed path: capture phase timings and the stats tree whether the
-  // query succeeds or fails — a cancelled query still reports the phases
-  // it finished and the rows its operators produced.
   Result<QueryResult> result = Status::Internal("query did not run");
   {
     PhaseTimer timer(profile, QueryPhase::kExecute);
-    const int64_t start = ObsNowNanos();
+    const int64_t start = observe != nullptr ? ObsNowNanos() : 0;
     result = RunAndProject(plan.get(), compiled, &ctx);
-    observe->exec_wall_nanos = ObsNowNanos() - start;
+    if (observe != nullptr) {
+      observe->exec_wall_nanos = ObsNowNanos() - start;
+    }
   }
+  if (observe == nullptr) return result;
+
+  // Observed: snapshot the stats tree whether the query succeeded or failed
+  // (a cancelled query still reports the rows its operators produced).
+  // TotalRowsOut(plan) == rows_produced is a tested invariant, and the
+  // difftest harness cross-checks it on every execution mode.
   observe->plan = BuildPlanStats(*plan, collector, compiled.columns.get());
   observe->has_plan = true;
-  observe->profile.total_nanos = ObsNowNanos() - observe->profile.start_nanos;
   if (control.progress_rows != nullptr) {
     control.progress_rows->store(ctx.rows_produced,
                                  std::memory_order_relaxed);
@@ -486,98 +486,66 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
   return result;
 }
 
-namespace {
-
-/// Preorder registration of the operator tree for span export: ids are
-/// assigned parent-before-child and names are formatted once, up front, so
-/// span emission at Close touches no virtual calls.
-void RegisterOpTree(SpanRecorder* spans, const PhysicalOp& op,
-                    int parent_id) {
-  const int id = spans->RegisterOp(&op, op.name(), parent_id);
-  for (const PhysicalOp* child : op.children()) {
-    RegisterOpTree(spans, *child, id);
-  }
+Result<QueryResult> QueryEngine::ExecuteWith(const std::string& sql,
+                                             const std::vector<Value>& params,
+                                             const EngineOptions& options,
+                                             const ExecControl& control) {
+  ObservedWindow window(control);
+  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
+                       PlanQuery(sql, &params, options, control));
+  return RunPlan(compiled, options, control);
 }
 
-}  // namespace
+Result<QueryEngine::PreparedInfo> QueryEngine::Prepare(
+    const std::string& sql) {
+  ORQ_ASSIGN_OR_RETURN(
+      Compiled compiled,
+      PlanQuery(sql, /*params=*/nullptr, options(), ExecControl{}));
+  PreparedInfo info;
+  info.param_types = std::move(compiled.param_types);
+  info.output_names = std::move(compiled.output_names);
+  return info;
+}
+
+Result<QueryResult> QueryEngine::Execute(const std::string& sql,
+                                         const ExecControl& control) {
+  return ExecuteWith(sql, {}, options(), control);
+}
+
+Result<QueryResult> QueryEngine::ExecuteParams(
+    const std::string& sql, const std::vector<Value>& params,
+    const ExecControl& control) {
+  return ExecuteWith(sql, params, options(), control);
+}
+
+Result<QueryResult> QueryEngine::ExecuteCompiled(const Compiled& compiled,
+                                                 const ExecControl& control) {
+  ObservedWindow window(control);
+  return RunPlan(compiled, options(), control);
+}
 
 Result<AnalyzedQuery> QueryEngine::ExecuteAnalyzed(
-    const std::string& sql, const AnalyzeOptions& analyze) {
+    const std::string& sql, const ExecControl& control) {
   AnalyzedQuery analyzed;
   analyzed.sql = sql;
-  analyzed.profile.start_nanos = ObsNowNanos();
-  analyzed.profile.query_id = analyze.query_id;
-  if (analyzed.profile.query_id.empty()) {
+  QueryObservation observe;
+  ExecControl lane = control;
+  lane.observe = &observe;
+  lane.metrics = &analyzed.metrics;
+  if (lane.query_id.empty()) {
     // Engine-local ids for analyzed runs outside the server's minting
     // (difftest, bench, orq_profile): "q<n>", monotonic per process.
     static std::atomic<int64_t> next_analyzed_id{0};
-    analyzed.profile.query_id =
+    lane.query_id =
         "q" + std::to_string(next_analyzed_id.fetch_add(1) + 1);
   }
-
   EngineOptions options = this->options();
   options.normalizer.trace = &analyzed.trace;
   options.optimizer.trace = &analyzed.trace;
-  Compiled compiled;
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, &analyzed.profile, analyze.cancel,
-                      &analyzed.metrics));
-    if (planned.plan->num_explicit_params > 0) {
-      return MissingParamsError(planned.plan->num_explicit_params);
-    }
-    analyzed.profile.cache =
-        planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
-    ORQ_ASSIGN_OR_RETURN(compiled, MaterializePlan(planned, {}));
-  } else {
-    ORQ_ASSIGN_OR_RETURN(
-        compiled,
-        CompileWith(sql, options, &analyzed.profile, analyze.cancel));
-    if (!compiled.param_types.empty()) {
-      return MissingParamsError(compiled.param_types.size());
-    }
-  }
-
-  PhysicalOpPtr plan;
-  {
-    PhaseTimer timer(&analyzed.profile, QueryPhase::kPhysicalBuild);
-    CostModel cost(catalog_);
-    ORQ_ASSIGN_OR_RETURN(
-        plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                EffectivePhysicalOptions(options), &cost));
-    if (analyze.record_spans) {
-      RegisterOpTree(&analyzed.spans, *plan, /*parent_id=*/-1);
-    }
-  }
-
-  std::shared_ptr<TaskPool> pool =
-      SharedTaskPool(options.exec.num_threads);
-  StatsCollector collector;
-  ExecInstruments instruments;
-  instruments.stats = &collector;
-  instruments.metrics = &analyzed.metrics;
-  instruments.spans = analyze.record_spans ? &analyzed.spans : nullptr;
-  ExecContext ctx;
-  ORQ_RETURN_IF_ERROR(ctx.Configure(options.exec));
-  ctx.instruments = &instruments;
-  ctx.pool = pool.get();
-  ctx.cancel = analyze.cancel;
-  {
-    PhaseTimer timer(&analyzed.profile, QueryPhase::kExecute);
-    const int64_t start = ObsNowNanos();
-    ORQ_ASSIGN_OR_RETURN(analyzed.result,
-                         RunAndProject(plan.get(), compiled, &ctx));
-    analyzed.exec_wall_nanos = ObsNowNanos() - start;
-  }
-  analyzed.profile.total_nanos =
-      ObsNowNanos() - analyzed.profile.start_nanos;
-  analyzed.plan =
-      BuildPlanStats(*plan, collector, compiled.columns.get());
-  // rows_produced stays the context counter (set in RunAndProject); the
-  // per-operator aggregation must independently agree with it —
-  // TotalRowsOut(plan) == rows_produced is a tested invariant, and the
-  // difftest harness cross-checks it on both execution modes.
+  ORQ_ASSIGN_OR_RETURN(analyzed.result, ExecuteWith(sql, {}, options, lane));
+  analyzed.plan = std::move(observe.plan);
+  analyzed.profile = std::move(observe.profile);
+  analyzed.exec_wall_nanos = observe.exec_wall_nanos;
   return analyzed;
 }
 
@@ -605,52 +573,6 @@ Result<std::string> QueryEngine::ExplainAnalyze(const std::string& sql) {
                 static_cast<double>(analyzed.exec_wall_nanos) / 1e6);
   out += line;
   return out;
-}
-
-Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
-  return Execute(sql, ExecControl{});
-}
-
-Result<QueryResult> QueryEngine::Execute(const std::string& sql,
-                                         const ExecControl& control) {
-  const EngineOptions options = this->options();
-  QueryObservation* observe = control.observe;
-  QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
-  if (profile != nullptr) {
-    if (profile->start_nanos == 0) profile->start_nanos = ObsNowNanos();
-    if (profile->query_id.empty()) profile->query_id = control.query_id;
-  }
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, profile, control.cancel,
-                      control.metrics));
-    if (planned.plan->num_explicit_params > 0) {
-      return MissingParamsError(planned.plan->num_explicit_params);
-    }
-    if (profile != nullptr) {
-      profile->cache =
-          planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
-    }
-    if (observe != nullptr) {
-      observe->fingerprint = FingerprintHex(planned.plan->canonical);
-    }
-    ORQ_ASSIGN_OR_RETURN(Compiled compiled, MaterializePlan(planned, {}));
-    return ExecuteCompiledWith(compiled, options, control);
-  }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                       CompileWith(sql, options, profile, control.cancel));
-  if (!compiled.param_types.empty()) {
-    return MissingParamsError(compiled.param_types.size());
-  }
-  if (observe != nullptr) {
-    // No cache lane: fingerprint the optimized tree directly. Literals are
-    // still embedded here, so unlike the cache-lane fingerprint this one
-    // distinguishes literal variants of a shape.
-    observe->fingerprint =
-        FingerprintHex(CanonicalizeTree(*compiled.optimized));
-  }
-  return ExecuteCompiledWith(compiled, options, control);
 }
 
 Result<std::string> QueryEngine::Explain(const std::string& sql) {

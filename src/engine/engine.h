@@ -47,28 +47,12 @@ struct AnalyzedQuery {
   QueryProfile profile;
   /// Engine-wide execution metrics (hash-path shape, spools, re-opens).
   MetricsRegistry metrics;
-  /// Operator Open→Close spans; populated only when AnalyzeOptions
-  /// requested span recording (ChromeTraceJson renders them).
-  SpanRecorder spans;
   /// Wall time of the execution phase (Open to Close of the root).
   int64_t exec_wall_nanos = 0;
 
   /// Machine-readable form (schema in DESIGN.md). `label` identifies the
   /// run (benchmark name, engine configuration, ...).
   std::string ToJson(const std::string& label = "") const;
-};
-
-/// Knobs for ExecuteAnalyzed beyond the engine configuration.
-struct AnalyzeOptions {
-  /// Record one span per operator Open→Close lifetime (orq_profile's trace
-  /// export). Off by default: spans grow with correlated re-opens, which
-  /// EXPLAIN ANALYZE does not need.
-  bool record_spans = false;
-  /// Cooperative cancellation/deadline token (see ExecControl::cancel).
-  const CancelToken* cancel = nullptr;
-  /// Stable query id stamped into the profile/stats JSON. Empty mints an
-  /// engine-local "q<n>" id, so every analyzed run is identifiable.
-  std::string query_id;
 };
 
 /// Per-query observability capture for the plain Execute path — everything
@@ -112,6 +96,11 @@ struct ExecControl {
   /// When set, the executor publishes rows-produced-so-far here (relaxed
   /// stores from the operator shells) for live introspection.
   std::atomic<int64_t>* progress_rows = nullptr;
+  /// When set, the run registers the physical operator tree here and
+  /// records one span per operator Open→Close (orq_profile's Chrome trace
+  /// export). Spans grow with correlated re-opens, so leave it null unless
+  /// exporting them.
+  SpanRecorder* spans = nullptr;
   /// Caller-minted stable query id (threaded into the observation profile
   /// and error paths). Empty when the caller does not track ids.
   std::string query_id;
@@ -172,12 +161,10 @@ class QueryEngine {
   /// The worker pool is rebuilt lazily on the next parallel execution.
   void set_options(EngineOptions options);
 
-  /// Parses, optimizes and runs `sql`.
-  Result<QueryResult> Execute(const std::string& sql);
-  /// Execute with per-call control: cancellation/deadline and an optional
-  /// metrics sink (the network server's path).
+  /// Parses, optimizes and runs `sql`, under optional per-call control
+  /// (cancellation/deadline, sinks; the network server's path).
   Result<QueryResult> Execute(const std::string& sql,
-                              const ExecControl& control);
+                              const ExecControl& control = {});
 
   /// Compilation artifacts for inspection (examples, tests, EXPLAIN).
   struct Compiled {
@@ -202,12 +189,14 @@ class QueryEngine {
   Result<QueryResult> ExecuteCompiled(const Compiled& compiled,
                                       const ExecControl& control = {});
 
-  /// Executes `sql` with full observability: per-operator stats collection,
-  /// rule tracing, and cost-model estimates on the physical plan. Results
-  /// are identical to Execute; only the instrumented path pays collection
-  /// overhead.
+  /// Executes `sql` with full observability: the observed Execute run with
+  /// the rule-trace sinks attached, so it shares the lane (and the results)
+  /// of every other execute call. The bundle brings its own observation
+  /// and metrics registry (control.observe/metrics are ignored); cancel,
+  /// progress_rows and spans are honoured. An empty control.query_id mints
+  /// an engine-local "q<n>" id, so every analyzed run is identifiable.
   Result<AnalyzedQuery> ExecuteAnalyzed(const std::string& sql,
-                                        const AnalyzeOptions& analyze = {});
+                                        const ExecControl& control = {});
 
   /// EXPLAIN ANALYZE: runs the query and renders the physical plan with
   /// actual rows/wall time next to the cost model's estimates, followed by
@@ -280,20 +269,31 @@ class QueryEngine {
                                      const CancelToken* cancel,
                                      MetricsRegistry* metrics);
 
-  /// Substitutes all parameter values into the template and builds a
-  /// Compiled shim sharing the template's ColumnManager (safe: physical
-  /// build takes the manager by const reference).
-  Result<Compiled> MaterializePlan(const PlannedQuery& planned,
-                                   const std::vector<Value>& explicit_values)
-      const;
-
   PlanCache* EnsurePlanCache(const PlanCacheOptions& options);
 
-  /// Execution against an explicit options snapshot (all public execute
-  /// paths funnel here so concurrent callers never re-read live options).
-  Result<QueryResult> ExecuteCompiledWith(const Compiled& compiled,
-                                          const EngineOptions& options,
-                                          const ExecControl& control);
+  /// The plan lane of every execute call and Prepare: the plan cache when
+  /// enabled, else a cold compile. Checks and substitutes `params` (plus
+  /// the cache's auto-parameterized literals); null `params` leaves the
+  /// placeholders in (Prepare). Observed, it also times the compile phases
+  /// and records the cache outcome and the plan fingerprint.
+  Result<Compiled> PlanQuery(const std::string& sql,
+                             const std::vector<Value>* params,
+                             const EngineOptions& options,
+                             const ExecControl& control);
+
+  /// The run lane: physical build, pool, context, instruments, execution.
+  /// Observed, it also times those phases and snapshots the per-operator
+  /// stats tree, whether the query succeeds or fails.
+  Result<QueryResult> RunPlan(const Compiled& compiled,
+                              const EngineOptions& options,
+                              const ExecControl& control);
+
+  /// PlanQuery then RunPlan against one options snapshot (concurrent
+  /// callers never re-read live options), inside the observed window.
+  Result<QueryResult> ExecuteWith(const std::string& sql,
+                                  const std::vector<Value>& params,
+                                  const EngineOptions& options,
+                                  const ExecControl& control);
 
   /// Physical-build options with the execution thread count applied (the
   /// builder decides where the Exchange goes, so it must know N).

@@ -29,11 +29,14 @@ struct NormalizerOptions {
 };
 
 /// Runs predicate pushdown, Apply removal (with Max1row elimination),
-/// outerjoin simplification and constant folding in rounds until a round
-/// leaves the tree unchanged (within kRewriteRoundBudget rounds), then
-/// prunes unused columns once. Each pass is gated by its option; folding
-/// and pruning ride with pushdown_predicates. The input must already be
-/// free of embedded scalar subqueries (run IntroduceApplies first).
+/// outerjoin simplification, constant folding and unused-column pruning in
+/// rounds until a round leaves the tree unchanged (within
+/// kRewriteRoundBudget rounds). Pruning is the last pass of the first round
+/// and of every round that changed the tree, so a narrower tree can feed
+/// one more Apply removal in the next round. Each pass is gated by its
+/// option; folding and pruning ride with pushdown_predicates. The input
+/// must already be free of embedded scalar subqueries (run
+/// IntroduceApplies first).
 Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
                              const NormalizerOptions& options);
 

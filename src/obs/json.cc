@@ -32,6 +32,13 @@ void AppendJsonString(const std::string& text, std::string* out) {
   out->push_back('"');
 }
 
+void AppendField(const char* key, std::string* out, bool* first) {
+  if (!*first) out->push_back(',');
+  *first = false;
+  AppendJsonString(key, out);
+  out->push_back(':');
+}
+
 namespace {
 
 void AppendNumber(double v, std::string* out) {
@@ -42,13 +49,6 @@ void AppendNumber(double v, std::string* out) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   out->append(buf);
-}
-
-void AppendField(const char* key, std::string* out, bool* first) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  AppendJsonString(key, out);
-  out->push_back(':');
 }
 
 void PlanStatsRec(const PlanStatsNode& node, std::string* out) {

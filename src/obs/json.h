@@ -16,6 +16,11 @@ class MetricsRegistry;
 /// Appends `text` as a JSON string literal (quotes + escapes) to `out`.
 void AppendJsonString(const std::string& text, std::string* out);
 
+/// Appends an object member's `"key":` to `out`, preceded by a comma
+/// unless it is the object's first member (`*first` tracks that). The
+/// caller appends the value. The one field writer of every JSON emitter.
+void AppendField(const char* key, std::string* out, bool* first);
+
 /// Machine-readable forms of the observability artifacts. Schema documented
 /// in DESIGN.md ("Observability" section); stable field names so external
 /// tooling (benchmark result pipelines) can rely on them.

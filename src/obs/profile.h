@@ -36,10 +36,6 @@ struct PhaseSpan {
   int64_t wall_nanos = 0;
 };
 
-/// Wall-nanosecond breakdown of one query's lifecycle. Accumulated by
-/// QueryEngine::ExecuteAnalyzed; phases are timed back to back, so
-/// PhaseSum() accounts for the whole of `total_nanos` up to the (tiny)
-/// bookkeeping between phases — the invariant obs_test pins at 5%.
 /// Plan-cache outcome of one query, for the EXPLAIN ANALYZE breakdown.
 enum class CacheOutcome : int {
   kOff = 0,   // plan cache disabled; no line rendered
@@ -47,6 +43,14 @@ enum class CacheOutcome : int {
   kHit,       // served from cache; compile phases up to optimize skipped
 };
 
+/// Wall-nanosecond breakdown of one query's lifecycle. Accumulated by
+/// QueryEngine's one plan-and-run lane whenever the call is observed — the
+/// server's query store (ExecControl::observe) and EXPLAIN ANALYZE
+/// (ExecuteAnalyzed) alike. Phases are timed back to back, so PhaseSum()
+/// accounts for the whole of `total_nanos` up to the (tiny) bookkeeping
+/// between phases — the invariant obs_test pins at 5%. `total_nanos` is
+/// stamped on every exit, so a query that fails early still has
+/// PhaseSum() <= total_nanos.
 struct QueryProfile {
   PhaseSpan phases[kNumQueryPhases];
   /// Start of the measured window (compile entry), ObsNowNanos timeline.

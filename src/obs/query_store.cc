@@ -79,61 +79,42 @@ const char* CacheOutcomeName(CacheOutcome cache) {
   return "unknown";
 }
 
-void AppendStringField(const char* key, const std::string& value,
-                       std::string* out) {
-  out->push_back('"');
-  *out += key;
-  *out += "\":";
-  AppendJsonString(value, out);
-}
-
-void AppendIntField(const char* key, int64_t value, std::string* out) {
-  out->push_back('"');
-  *out += key;
-  *out += "\":";
-  *out += std::to_string(value);
-}
-
 }  // namespace
 
 std::string QueryRecordJson(const QueryRecord& record) {
   std::string out = "{";
-  AppendStringField("query_id", record.query_id, &out);
-  out.push_back(',');
-  AppendIntField("session", record.session_id, &out);
-  out.push_back(',');
-  AppendStringField("sql", record.sql, &out);
-  out.push_back(',');
-  AppendStringField("fingerprint", record.fingerprint, &out);
-  out.push_back(',');
-  AppendStringField("exec_mode", record.exec_mode, &out);
-  out.push_back(',');
-  AppendStringField("cache", CacheOutcomeName(record.profile.cache), &out);
-  out.push_back(',');
-  AppendStringField("outcome", QueryOutcomeName(record.outcome), &out);
+  bool first = true;
+  auto string_field = [&](const char* key, const std::string& value) {
+    AppendField(key, &out, &first);
+    AppendJsonString(value, &out);
+  };
+  auto int_field = [&](const char* key, int64_t value) {
+    AppendField(key, &out, &first);
+    out += std::to_string(value);
+  };
+  string_field("query_id", record.query_id);
+  int_field("session", record.session_id);
+  string_field("sql", record.sql);
+  string_field("fingerprint", record.fingerprint);
+  string_field("exec_mode", record.exec_mode);
+  string_field("cache", CacheOutcomeName(record.profile.cache));
+  string_field("outcome", QueryOutcomeName(record.outcome));
   if (!record.error_message.empty()) {
-    out.push_back(',');
-    AppendStringField("error", record.error_message, &out);
+    string_field("error", record.error_message);
   }
-  out.push_back(',');
-  AppendIntField("submit_nanos", record.submit_nanos, &out);
-  out.push_back(',');
-  AppendIntField("wall_micros", record.wall_micros, &out);
-  out.push_back(',');
-  AppendIntField("result_rows", record.result_rows, &out);
-  out.push_back(',');
-  AppendIntField("rows_produced", record.rows_produced, &out);
-  out.push_back(',');
-  AppendIntField("peak_cardinality", record.peak_cardinality, &out);
-  out += ",\"profile\":";
+  int_field("submit_nanos", record.submit_nanos);
+  int_field("wall_micros", record.wall_micros);
+  int_field("result_rows", record.result_rows);
+  int_field("rows_produced", record.rows_produced);
+  int_field("peak_cardinality", record.peak_cardinality);
+  AppendField("profile", &out, &first);
   out += ProfileToJson(record.profile);
   if (record.has_plan) {
-    out += ",\"plan\":";
+    AppendField("plan", &out, &first);
     out += PlanStatsToJson(record.plan);
   }
   if (!record.slow_explain.empty()) {
-    out.push_back(',');
-    AppendStringField("slow_explain", record.slow_explain, &out);
+    string_field("slow_explain", record.slow_explain);
   }
   out.push_back('}');
   return out;
@@ -142,12 +123,15 @@ std::string QueryRecordJson(const QueryRecord& record) {
 std::string QueryHistoryJson(const std::vector<QueryRecord>& records,
                              int64_t total_recorded, size_t capacity) {
   std::string out = "{";
-  AppendIntField("total_recorded", total_recorded, &out);
-  out.push_back(',');
-  AppendIntField("capacity", static_cast<int64_t>(capacity), &out);
-  out.push_back(',');
-  AppendIntField("returned", static_cast<int64_t>(records.size()), &out);
-  out += ",\"queries\":[";
+  bool first = true;
+  AppendField("total_recorded", &out, &first);
+  out += std::to_string(total_recorded);
+  AppendField("capacity", &out, &first);
+  out += std::to_string(capacity);
+  AppendField("returned", &out, &first);
+  out += std::to_string(records.size());
+  AppendField("queries", &out, &first);
+  out.push_back('[');
   for (size_t i = 0; i < records.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += QueryRecordJson(records[i]);

@@ -315,6 +315,38 @@ TEST_F(ObsTest, PhaseSumCoversTotalWallTime) {
   EXPECT_GE(best_ratio, 0.95);
 }
 
+// A query that fails before execution still closes its observed window:
+// total_nanos covers the phases it ran (parse or bind or compile), with the
+// plan cache off and on, so the query store never books PhaseSum() above
+// the total.
+TEST_F(ObsTest, FailedQueryStampsTotalOverItsPhases) {
+  const std::string param_sql =
+      "select c_name from customer where c_custkey = ?";
+  for (bool cache : {false, true}) {
+    EngineOptions options = EngineOptions::Full();
+    options.plan_cache.enable = cache;
+    QueryEngine engine(&catalog_, options);
+    for (const std::string& sql :
+         {std::string("SELECT nope FROM orders"), std::string("SELEC 1"),
+          param_sql}) {
+      SCOPED_TRACE(sql + (cache ? " [cache]" : ""));
+      QueryObservation observe;
+      ExecControl control;
+      control.observe = &observe;
+      ASSERT_FALSE(engine.Execute(sql, control).ok());
+      EXPECT_GT(observe.profile.PhaseSum(), 0);
+      EXPECT_GT(observe.profile.total_nanos, 0);
+      EXPECT_LE(observe.profile.PhaseSum(), observe.profile.total_nanos);
+    }
+    QueryObservation observe;
+    ExecControl control;
+    control.observe = &observe;
+    ASSERT_FALSE(engine.ExecuteParams(param_sql, {}, control).ok());
+    EXPECT_GT(observe.profile.total_nanos, 0);
+    EXPECT_LE(observe.profile.PhaseSum(), observe.profile.total_nanos);
+  }
+}
+
 TEST_F(ObsTest, ProfileRecordsEveryPipelinePhase) {
   QueryEngine engine(&catalog_);
   Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(subquery_sql_);
@@ -429,19 +461,20 @@ TEST_F(ObsTest, MetricsCountApplyReopens) {
 // round-trips through the args (op_id/parent_id).
 TEST_F(ObsTest, ChromeTraceRoundTripsOperatorTree) {
   QueryEngine engine(&catalog_);
-  AnalyzeOptions analyze;
-  analyze.record_spans = true;
+  SpanRecorder spans;
+  ExecControl control;
+  control.spans = &spans;
   Result<AnalyzedQuery> analyzed =
-      engine.ExecuteAnalyzed(subquery_sql_, analyze);
+      engine.ExecuteAnalyzed(subquery_sql_, control);
   ASSERT_TRUE(analyzed.ok());
-  ASSERT_FALSE(analyzed->spans.spans().empty());
+  ASSERT_FALSE(spans.spans().empty());
   // One span per Open→Close: at least one per registered operator, more
   // when the cost model keeps correlated execution (re-opens repeat the
   // inner operator's span — SpansRepeatForCorrelatedReopens pins that).
-  EXPECT_GE(analyzed->spans.spans().size(), analyzed->spans.ops().size());
+  EXPECT_GE(spans.spans().size(), spans.ops().size());
 
   const std::string json =
-      ChromeTraceJson(&analyzed->profile, analyzed->spans);
+      ChromeTraceJson(&analyzed->profile, spans);
   std::string error;
   EXPECT_TRUE(ValidateJson(json, &error)) << error;
   EXPECT_EQ(json.find('\n'), std::string::npos);
@@ -474,24 +507,25 @@ TEST_F(ObsTest, ChromeTraceRoundTripsOperatorTree) {
   }
   EXPECT_EQ(phase_events, kNumQueryPhases);
   EXPECT_EQ(op_events,
-            static_cast<int>(analyzed->spans.spans().size()));
+            static_cast<int>(spans.spans().size()));
   // Exactly one root operator; every span maps to a registered op.
   EXPECT_EQ(roots, 1);
   for (double id : ids) {
-    EXPECT_LT(id, static_cast<double>(analyzed->spans.ops().size()));
+    EXPECT_LT(id, static_cast<double>(spans.ops().size()));
   }
 }
 
 // Correlated re-opens show up as repeated spans of the same operator.
 TEST_F(ObsTest, SpansRepeatForCorrelatedReopens) {
   QueryEngine engine(&catalog_, EngineOptions::CorrelatedOnly());
-  AnalyzeOptions analyze;
-  analyze.record_spans = true;
+  SpanRecorder spans;
+  ExecControl control;
+  control.spans = &spans;
   Result<AnalyzedQuery> analyzed =
-      engine.ExecuteAnalyzed(subquery_sql_, analyze);
+      engine.ExecuteAnalyzed(subquery_sql_, control);
   ASSERT_TRUE(analyzed.ok());
-  std::vector<int> opens_by_op(analyzed->spans.ops().size(), 0);
-  for (const OpSpan& span : analyzed->spans.spans()) {
+  std::vector<int> opens_by_op(spans.ops().size(), 0);
+  for (const OpSpan& span : spans.spans()) {
     ++opens_by_op[static_cast<size_t>(span.op_id)];
   }
   int max_opens = 0;
@@ -499,13 +533,21 @@ TEST_F(ObsTest, SpansRepeatForCorrelatedReopens) {
   EXPECT_EQ(max_opens, 300);
 }
 
-// Span recording is strictly opt-in: the default analyze path and plain
-// execution leave the recorder empty.
+// Span recording is opt-in through ExecControl::spans and rides the one
+// execution lane: a plain Execute with a recorder attached registers the
+// same operators and records the same spans as the analyzed run.
 TEST_F(ObsTest, SpansAreOptIn) {
-  QueryEngine engine(&catalog_);
-  Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(subquery_sql_);
-  ASSERT_TRUE(analyzed.ok());
-  EXPECT_TRUE(analyzed->spans.empty());
+  QueryEngine engine(&catalog_, EngineOptions::CorrelatedOnly());
+  SpanRecorder analyzed_spans;
+  ExecControl control;
+  control.spans = &analyzed_spans;
+  ASSERT_TRUE(engine.ExecuteAnalyzed(subquery_sql_, control).ok());
+  SpanRecorder plain_spans;
+  control.spans = &plain_spans;
+  ASSERT_TRUE(engine.Execute(subquery_sql_, control).ok());
+  EXPECT_FALSE(plain_spans.empty());
+  EXPECT_EQ(plain_spans.ops().size(), analyzed_spans.ops().size());
+  EXPECT_EQ(plain_spans.spans().size(), analyzed_spans.spans().size());
 }
 
 TEST_F(ObsTest, AnalyzedJsonEmbedsProfileAndMetrics) {

@@ -203,6 +203,25 @@ TEST_F(PlanCacheTest, ParameterCountAndTypeErrors) {
   EXPECT_EQ(bad_type.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Execute(sql) is ExecuteParams(sql, {}): a statement with markers fails
+// with the same missing-parameter error through either, cache on or off.
+TEST_F(PlanCacheTest, ExecuteMatchesExecuteParamsWithNoValues) {
+  const std::string sql = "select c_name from customer where c_custkey = ?";
+  for (bool cache : {false, true}) {
+    EngineOptions options = CachedOptions();
+    options.plan_cache.enable = cache;
+    QueryEngine engine(&catalog_, options);
+    Result<QueryResult> plain = engine.Execute(sql);
+    Result<QueryResult> no_values = engine.ExecuteParams(sql, {});
+    ASSERT_FALSE(plain.ok());
+    ASSERT_FALSE(no_values.ok());
+    EXPECT_EQ(plain.status().ToString(), no_values.status().ToString());
+    EXPECT_EQ(plain.status().message(),
+              "statement has 1 parameter(s); supply values via "
+              "ExecuteParams / EXECUTE");
+  }
+}
+
 TEST_F(PlanCacheTest, HotPathSkipsCompilePhases) {
   QueryEngine engine(&catalog_, CachedOptions());
   const std::string sql =

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "obs/report.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
 
@@ -82,6 +83,65 @@ TEST_P(TpchQueryTest, AllConfigurationsAgree) {
                              << "]: " << actual.status().ToString();
     EXPECT_EQ(Canonical(*actual), expected_rows)
         << query.id << " differs under " << config.name;
+  }
+}
+
+std::vector<std::string> ExactRows(const QueryResult& result) {
+  std::vector<std::string> rows;
+  for (const Row& row : result.rows) rows.push_back(RowToString(row));
+  return rows;
+}
+
+// Operator name and rows_out per node, preorder.
+void FlattenStats(const PlanStatsNode& node,
+                  std::vector<std::pair<std::string, int64_t>>* out) {
+  out->emplace_back(node.name, node.stats.rows_out);
+  for (const PlanStatsNode& child : node.children) FlattenStats(child, out);
+}
+
+// Observed Execute, ExecuteParams with no values and ExecuteAnalyzed run
+// through one plan-and-run lane: with the plan cache off and on (a cold
+// miss, then a hit) they agree on the rows, rows_produced, the per-operator
+// stats tree and the cache outcome.
+TEST_P(TpchQueryTest, ObservedExecuteMatchesAnalyzed) {
+  const TpchQuery& query = GetParam();
+  for (bool cache : {false, true}) {
+    EngineOptions options = EngineOptions::Full();
+    options.plan_cache.enable = cache;
+    QueryEngine plain(SharedTpch(), options);
+    QueryEngine analyzer(SharedTpch(), options);
+    const CacheOutcome expected_cache[] = {
+        cache ? CacheOutcome::kMiss : CacheOutcome::kOff,
+        cache ? CacheOutcome::kHit : CacheOutcome::kOff};
+    for (int run = 0; run < 2; ++run) {
+      SCOPED_TRACE(query.id + (cache ? " cache run " : " run ") +
+                   std::to_string(run));
+      QueryObservation observe;
+      ExecControl control;
+      control.observe = &observe;
+      Result<QueryResult> executed = plain.Execute(query.sql, control);
+      ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+      Result<AnalyzedQuery> analyzed = analyzer.ExecuteAnalyzed(query.sql);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      Result<QueryResult> via_params = plain.ExecuteParams(query.sql, {});
+      ASSERT_TRUE(via_params.ok()) << via_params.status().ToString();
+
+      EXPECT_EQ(ExactRows(*executed), ExactRows(analyzed->result));
+      EXPECT_EQ(ExactRows(*executed), ExactRows(*via_params));
+      EXPECT_EQ(executed->rows_produced, analyzed->result.rows_produced);
+      EXPECT_EQ(executed->rows_produced, via_params->rows_produced);
+      ASSERT_TRUE(observe.has_plan);
+      EXPECT_EQ(TotalRowsOut(observe.plan), executed->rows_produced);
+      EXPECT_EQ(TotalRowsOut(analyzed->plan),
+                analyzed->result.rows_produced);
+      std::vector<std::pair<std::string, int64_t>> observed_ops;
+      std::vector<std::pair<std::string, int64_t>> analyzed_ops;
+      FlattenStats(observe.plan, &observed_ops);
+      FlattenStats(analyzed->plan, &analyzed_ops);
+      EXPECT_EQ(observed_ops, analyzed_ops);
+      EXPECT_EQ(observe.profile.cache, expected_cache[run]);
+      EXPECT_EQ(analyzed->profile.cache, expected_cache[run]);
+    }
   }
 }
 

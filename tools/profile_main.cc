@@ -70,11 +70,12 @@ int RunOverhead(orq::QueryEngine* engine, const std::string& sql) {
                    plain.status().ToString().c_str());
       return 1;
     }
-    orq::AnalyzeOptions analyze;
-    analyze.record_spans = true;
+    orq::SpanRecorder spans;
+    orq::ExecControl control;
+    control.spans = &spans;
     start = orq::ObsNowNanos();
     orq::Result<orq::AnalyzedQuery> analyzed =
-        engine->ExecuteAnalyzed(sql, analyze);
+        engine->ExecuteAnalyzed(sql, control);
     double analyzed_ms = (orq::ObsNowNanos() - start) / 1e6;
     if (!analyzed.ok()) {
       std::fprintf(stderr, "orq_profile: %s\n",
@@ -157,10 +158,11 @@ int main(int argc, char** argv) {
 
   if (overhead) return RunOverhead(&engine, sql);
 
-  orq::AnalyzeOptions analyze;
-  analyze.record_spans = true;
+  orq::SpanRecorder spans;
+  orq::ExecControl control;
+  control.spans = &spans;
   orq::Result<orq::AnalyzedQuery> analyzed =
-      engine.ExecuteAnalyzed(sql, analyze);
+      engine.ExecuteAnalyzed(sql, control);
   if (!analyzed.ok()) {
     std::fprintf(stderr, "orq_profile: %s\n",
                  analyzed.status().ToString().c_str());
@@ -178,7 +180,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string trace_json =
-      orq::ChromeTraceJson(&analyzed->profile, analyzed->spans);
+      orq::ChromeTraceJson(&analyzed->profile, spans);
   std::FILE* file = std::fopen(out_path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "orq_profile: cannot open %s\n", out_path.c_str());
@@ -189,6 +191,6 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (%zu bytes, %zu span(s)) — load in "
               "https://ui.perfetto.dev\n",
               out_path.c_str(), trace_json.size(),
-              analyzed->spans.spans().size());
+              spans.spans().size());
   return 0;
 }
