@@ -30,7 +30,7 @@ void BM_TpchQuery(benchmark::State& state, const std::string& config_name,
     state.SkipWithError("DNF: naive correlated re-aggregation (see notes)");
     return;
   }
-  RunQueryBenchmark(state, catalog, options, GetTpchQuery(query_id).sql);
+  RunQueryBenchmark(state, catalog, options, GetTpchQuery(query_id)->sql);
 }
 
 void RegisterAll() {

@@ -22,7 +22,7 @@ void RegisterAll() {
         [config](benchmark::State& state) {
           Catalog* catalog = TpchAt(MilliSf(state.range(0)));
           RunQueryBenchmark(state, catalog, config.options,
-                            GetTpchQuery("Q17").sql);
+                            GetTpchQuery("Q17")->sql);
         })
         ->Arg(2)
         ->Arg(5)

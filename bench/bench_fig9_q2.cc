@@ -21,7 +21,7 @@ void RegisterAll() {
         [config](benchmark::State& state) {
           Catalog* catalog = TpchAt(MilliSf(state.range(0)));
           RunQueryBenchmark(state, catalog, config.options,
-                            GetTpchQuery("Q2").sql);
+                            GetTpchQuery("Q2")->sql);
         })
         ->Arg(2)
         ->Arg(5)

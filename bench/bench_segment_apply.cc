@@ -34,13 +34,13 @@ EngineOptions WithSegmentApply(bool enabled) {
 void BM_Q17SubqueryForm_SA(benchmark::State& state) {
   Catalog* catalog = TpchAt(MilliSf(state.range(0)));
   RunQueryBenchmark(state, catalog, WithSegmentApply(true),
-                    GetTpchQuery("Q17").sql);
+                    GetTpchQuery("Q17")->sql);
 }
 
 void BM_Q17SubqueryForm_NoSA(benchmark::State& state) {
   Catalog* catalog = TpchAt(MilliSf(state.range(0)));
   RunQueryBenchmark(state, catalog, WithSegmentApply(false),
-                    GetTpchQuery("Q17").sql);
+                    GetTpchQuery("Q17")->sql);
 }
 
 void BM_Q17SelfJoinForm_SA(benchmark::State& state) {

@@ -479,6 +479,12 @@ Result<QueryResult> QueryEngine::RunPlan(const Compiled& compiled,
   // difftest harness cross-checks it on every execution mode.
   observe->plan = BuildPlanStats(*plan, collector, compiled.columns.get());
   observe->has_plan = true;
+  {
+    // Freeing the operator tree and its hash state is part of the query's
+    // wall time, so it is booked before the observed window closes.
+    PhaseTimer timer(profile, QueryPhase::kTeardown);
+    plan.reset();
+  }
   if (control.progress_rows != nullptr) {
     control.progress_rows->store(ctx.rows_produced,
                                  std::memory_order_relaxed);

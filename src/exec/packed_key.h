@@ -23,8 +23,8 @@ class ColumnBatch;
 /// A columnar probe key: one physical row of a ColumnBatch viewed through
 /// `num_keys` column slots, with its RowHash-compatible hash precomputed
 /// column-wise (see HashCombineColumn in exec/vector_kernels.h). Lets the
-/// columnar aggregate/join paths probe PackedKey tables without decoding
-/// the key into a Row unless the probe actually inserts.
+/// columnar join paths probe PackedKey tables without decoding the key
+/// into a Row unless the probe actually inserts.
 struct ColumnKeyRef {
   const ColumnBatch* batch;
   const int* slots;

@@ -54,7 +54,8 @@ inline constexpr int kNumMetricCounters =
 enum class MetricHistogram : int {
   kHashJoinChainLength = 0,  // matching build rows per probe
   kHashJoinBucketRows,       // build rows per distinct key, at build end
-  kHashAggBucketChain,       // occupied-bucket chain lengths at build end
+  kHashAggBucketChain,       // per group at build end: slots a probe walks
+                             // to reach it in the open-addressed table
   kBatchFillPercent,         // NextBatch fill ratio (0-100) per pull
   kAdmissionQueueDepth,      // waiting queries observed at each admission
   kQueryLatencyMicros,       // server-side per-query wall time (admission

@@ -18,6 +18,7 @@ const char* QueryPhaseName(QueryPhase phase) {
     case QueryPhase::kOptimize: return "optimize";
     case QueryPhase::kPhysicalBuild: return "physical_build";
     case QueryPhase::kExecute: return "execute";
+    case QueryPhase::kTeardown: return "teardown";
   }
   return "unknown";
 }

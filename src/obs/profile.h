@@ -22,8 +22,10 @@ enum class QueryPhase : int {
   kOptimize,
   kPhysicalBuild,
   kExecute,
+  kTeardown,  // destroying the executed plan and its operator state
 };
-inline constexpr int kNumQueryPhases = static_cast<int>(QueryPhase::kExecute) + 1;
+inline constexpr int kNumQueryPhases =
+    static_cast<int>(QueryPhase::kTeardown) + 1;
 
 const char* QueryPhaseName(QueryPhase phase);
 
@@ -55,7 +57,7 @@ struct QueryProfile {
   PhaseSpan phases[kNumQueryPhases];
   /// Start of the measured window (compile entry), ObsNowNanos timeline.
   int64_t start_nanos = 0;
-  /// End-to-end wall time: compile entry to execution end.
+  /// End-to-end wall time: compile entry to the end of plan teardown.
   int64_t total_nanos = 0;
   /// Whether the plan came from the plan cache (kOff when caching is off).
   CacheOutcome cache = CacheOutcome::kOff;

@@ -23,8 +23,8 @@ struct TpchQuery {
 /// aggregation-only baseline.
 const std::vector<TpchQuery>& TpchQuerySet();
 
-/// Lookup by id ("Q17"); aborts on unknown id (programming error).
-const TpchQuery& GetTpchQuery(const std::string& id);
+/// Lookup by id ("Q17"); nullptr for an id outside TpchQuerySet().
+const TpchQuery* GetTpchQuery(const std::string& id);
 
 }  // namespace orq
 

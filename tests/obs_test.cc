@@ -315,6 +315,35 @@ TEST_F(ObsTest, PhaseSumCoversTotalWallTime) {
   EXPECT_GE(best_ratio, 0.95);
 }
 
+// Destroying a plan that holds large hash state is booked in the teardown
+// phase, so PhaseSum still covers the total when that state is big: here a
+// hash join of lineitem and orders feeding more than 50k groups, one per
+// lineitem row at SF 0.02.
+TEST(ObsPhaseTest, PhaseSumCoversTeardownOfLargeGroupTable) {
+  Catalog catalog;
+  TpchGenOptions options;
+  options.scale_factor = 0.02;
+  ASSERT_TRUE(GenerateTpch(&catalog, options).ok());
+  QueryEngine engine(&catalog);
+  const std::string sql =
+      "select l_orderkey, l_linenumber, sum(o_totalprice) "
+      "from lineitem, orders where l_orderkey = o_orderkey "
+      "group by l_orderkey, l_linenumber";
+  double best_ratio = 0.0;
+  for (int attempt = 0; attempt < 5 && best_ratio < 0.95; ++attempt) {
+    Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(sql);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    ASSERT_GE(analyzed->result.rows.size(), 50000u);
+    const QueryProfile& profile = analyzed->profile;
+    EXPECT_GT(profile.phase(QueryPhase::kTeardown).wall_nanos, 0);
+    EXPECT_LE(profile.PhaseSum(), profile.total_nanos);
+    const double ratio = static_cast<double>(profile.PhaseSum()) /
+                         static_cast<double>(profile.total_nanos);
+    if (ratio > best_ratio) best_ratio = ratio;
+  }
+  EXPECT_GE(best_ratio, 0.95);
+}
+
 // A query that fails before execution still closes its observed window:
 // total_nanos covers the phases it ran (parse or bind or compile), with the
 // plan cache off and on, so the query store never books PhaseSum() above
@@ -362,7 +391,8 @@ TEST_F(ObsTest, ProfileRecordsEveryPipelinePhase) {
   const std::string text =
       RenderProfile(analyzed->profile, &analyzed->trace);
   for (const char* phase : {"parse", "bind", "apply_intro", "normalize",
-                            "optimize", "physical_build", "execute"}) {
+                            "optimize", "physical_build", "execute",
+                            "teardown"}) {
     EXPECT_NE(text.find(phase), std::string::npos) << phase;
   }
   EXPECT_NE(text.find("rule time:"), std::string::npos);
@@ -424,6 +454,25 @@ TEST_F(ObsTest, MetricsCaptureHashPathShape) {
   ASSERT_NE(histograms, nullptr);
   EXPECT_EQ(histograms->array.size(),
             static_cast<size_t>(kNumMetricHistograms));
+}
+
+// hash_agg.bucket_chain records one probe length per group of a grouped
+// aggregate: at least one slot each, and short at load <= 1/2.
+TEST_F(ObsTest, GroupedAggregateObservesProbeLengths) {
+  QueryEngine engine(&catalog_);
+  Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(
+      "select o_custkey, count(*) from orders group by o_custkey");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const MetricsRegistry& metrics = analyzed->metrics;
+  const HistogramData& chain =
+      metrics.histogram(MetricHistogram::kHashAggBucketChain);
+  EXPECT_EQ(chain.count, metrics.counter(MetricCounter::kHashAggGroups));
+  EXPECT_EQ(chain.count,
+            static_cast<int64_t>(analyzed->result.rows.size()));
+  EXPECT_GE(chain.sum, chain.count);
+  EXPECT_GE(chain.max, 1);
+  EXPECT_LT(static_cast<double>(chain.sum) / static_cast<double>(chain.count),
+            4.0);
 }
 
 // Batch mode is no longer the default, so it is asked for here: the same

@@ -594,7 +594,7 @@ Catalog* TpchCatalog() {
 QueryEngine::Compiled CompileTpch(const std::string& id) {
   QueryEngine engine(TpchCatalog(), EngineOptions::Full());
   Result<QueryEngine::Compiled> compiled =
-      engine.Compile(GetTpchQuery(id).sql);
+      engine.Compile(GetTpchQuery(id)->sql);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   return *compiled;
 }
@@ -670,7 +670,7 @@ TEST_F(RuleTest, Q17PlanUsesSegmentApply) {
   ASSERT_TRUE(GenerateTpch(&tpch, options).ok());
   QueryEngine engine(&tpch, EngineOptions::Full());
   Result<QueryEngine::Compiled> compiled =
-      engine.Compile(GetTpchQuery("Q17").sql);
+      engine.Compile(GetTpchQuery("Q17")->sql);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ(CountKind(compiled->optimized, RelKind::kSegmentApply), 1)
       << PrintRelTree(*compiled->optimized, compiled->columns.get());
@@ -678,7 +678,7 @@ TEST_F(RuleTest, Q17PlanUsesSegmentApply) {
   // And disabling the technique removes it.
   QueryEngine no_sa(&tpch, EngineOptions::NoSegmentApply());
   Result<QueryEngine::Compiled> compiled2 =
-      no_sa.Compile(GetTpchQuery("Q17").sql);
+      no_sa.Compile(GetTpchQuery("Q17")->sql);
   ASSERT_TRUE(compiled2.ok());
   EXPECT_EQ(CountKind(compiled2->optimized, RelKind::kSegmentApply), 0);
 }

@@ -131,7 +131,16 @@ TEST_F(TpchGenTest, QuerySetWellFormed) {
     with_subquery += query.has_subquery ? 1 : 0;
   }
   EXPECT_EQ(with_subquery, 9);  // all but Q1
-  EXPECT_EQ(GetTpchQuery("Q17").id, "Q17");
+  ASSERT_NE(GetTpchQuery("Q17"), nullptr);
+  EXPECT_EQ(GetTpchQuery("Q17")->id, "Q17");
+}
+
+// An id outside the set is a lookup miss, not a crash: callers taking ids
+// from the command line report it and print their usage.
+TEST_F(TpchGenTest, UnknownQueryIdIsNull) {
+  EXPECT_EQ(GetTpchQuery("21"), nullptr);
+  EXPECT_EQ(GetTpchQuery("Q99"), nullptr);
+  EXPECT_EQ(GetTpchQuery(""), nullptr);
 }
 
 }  // namespace

@@ -119,7 +119,12 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--tpch") == 0) {
       label = next("--tpch");
-      sql = orq::GetTpchQuery(label).sql;
+      const orq::TpchQuery* query = orq::GetTpchQuery(label);
+      if (query == nullptr) {
+        std::fprintf(stderr, "unknown TPC-H query id %s\n", label.c_str());
+        return Usage();
+      }
+      sql = query->sql;
     } else if (std::strcmp(argv[i], "--sql") == 0) {
       sql = next("--sql");
     } else if (std::strcmp(argv[i], "--sf") == 0) {
